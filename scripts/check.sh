@@ -13,16 +13,18 @@
 # "Capacity and churn"). With --shard, run the 4-shard routed-fabric smoke
 # (router death + inter-subnet partition under churn, docs/ROUTING.md) in
 # the Release lane. With --app, run the replicated block-store application
-# lane in the Release lane: the 200-seed crash sweep under the
-# response-exactness invariant plus the warm/cold-cache failover ablation
+# lane in the Release lane: the 200-seed crash sweep at group sizes 2 and 3
+# under the response-exactness invariant plus the warm/cold-cache failover
+# ablation
 # (docs/APPLICATION.md). With --grey, run the grey-failure lane in the Release
 # lane: the bounded-depth interleaving explorer over the failover window
 # plus a 32-seed slow-not-dead sweep convicted by progress counters
 # (docs/CHAOS.md, "Grey failures"). With --group, run the 1+N replication-
 # group lane in the Release lane: the exhaustive three-host promotion-race
 # explorer (single and simultaneous-double failure windows), a 64-seed
-# simultaneous double-failure sweep at N=3, its N=2 negative control, and
-# the group reintegration tests (docs/GROUPS.md). The default lane also
+# simultaneous double-failure sweep at N=3, its N=2 negative control, the
+# same schedules against the block store at N=3, and the group
+# reintegration tests (docs/GROUPS.md). The default lane also
 # runs the doc link checker.
 #
 # With --tsan, build the ThreadSanitizer configuration and run the parallel
@@ -112,13 +114,19 @@ for arg in "$@"; do
       # double-failure schedules at N=3 — every one must be masked — and
       # re-run them at N=2, where every leader-involving schedule must
       # FAIL (the negative control proves the sweep measures redundancy).
-      # Group reintegration (rejoin at lowest rank, second failure during
-      # snapshot) rides along.
+      # The block store runs the same 64 schedules at N=3: response-exact,
+      # zero replay mismatches, survivors' stores identical. Group
+      # reintegration (rejoin at lowest rank, second failure during
+      # snapshot, with the file server and with the block store) rides
+      # along.
       ./build-release/tests/integration_explore_test \
         --gtest_filter='ExploreGroupTest.*'
       STTCP_MULTI_SEEDS=64 STTCP_MULTI_NEG_SEEDS=32 \
         ./build-release/tests/integration_multi_failure_test \
         --gtest_filter='*Sweep*:*NegativeControl*'
+      STTCP_MULTI_SEEDS=64 \
+        ./build-release/tests/integration_block_failover_test \
+        --gtest_filter='*BlockMultiFailureTest*:*MidSnapshot*'
       ./build-release/tests/sttcp_reintegration_test \
         --gtest_filter='GroupReintegrationTest.*'
       ;;
@@ -142,13 +150,14 @@ for arg in "$@"; do
       cmake -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
       cmake --build build-release -j "$JOBS"
       # Block-store application lane (docs/APPLICATION.md): 200 seeded
-      # chaos runs crashing either node at a random point — half of the
-      # schedules aimed into the cache-writeback window — every response
-      # byte checked against the client oracles (zero RSTs, zero
+      # chaos runs per group size (the pair and N=3) crashing any member at
+      # a random point — half of the schedules aimed into the
+      # cache-writeback window — every response byte checked against the
+      # client oracles (zero RSTs, zero mismatches, zero replay
       # mismatches), then the warm/cold-cache failover latency ablation.
       STTCP_BLOCK_SEEDS=200 \
         ./build-release/tests/integration_block_failover_test \
-        --gtest_filter='*Sweep*'
+        --gtest_filter='*BlockChaosSweepTest*'
       ./build-release/bench/bench_blockstore --quick
       ;;
     *)

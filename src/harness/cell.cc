@@ -111,7 +111,7 @@ Cell::~Cell() = default;
 void Cell::start() {
   const TopologyConfig& tc = topo_.config();
   // Serial null-modem cable between the servers (port 0 = primary). It stays
-  // a point-to-point pair cable even in group mode: extra backups heartbeat
+  // a point-to-point cable at every roster size: extra backups heartbeat
   // over IP only (docs/GROUPS.md).
   serial_ = std::make_unique<net::SerialLink>(*world_, tc.serial_baud);
 
@@ -125,30 +125,23 @@ void Cell::start() {
 
   net::PowerController& power =
       topo_.power(static_cast<std::size_t>(cfg_.power_controller));
+  // Every member carries the same roster; ranks start in roster order
+  // (primary = rank 0). The serial cable joins members 0 and 1 only.
   sttcp::StTcpConfig pc = tc.sttcp;
   pc.service_ip = cfg_.service_ip;
   pc.my_ip = cfg_.primary_ip;
-  pc.peer_ip = cfg_.backup_ip;
-  pc.peer_name = backup_->name();
   pc.gateway_ip = cfg_.gateway_ip;
   if (!tc.logger_ip.is_zero()) pc.logger_ip = tc.logger_ip;
-  if (cfg_.extra_backups > 0) {
-    // Group mode: every member carries the same roster; ranks start in
-    // roster order (primary = rank 0).
-    pc.group.push_back({primary_->name(), cfg_.primary_ip, /*serial=*/true});
-    pc.group.push_back({backup_->name(), cfg_.backup_ip, /*serial=*/true});
-    for (int i = 1; i < backup_count(); ++i) {
-      pc.group.push_back(
-          {extra_hosts_[static_cast<std::size_t>(i - 1)]->name(), backup_ip(i),
-           /*serial=*/false});
-    }
-    pc.my_member = 0;
+  pc.group.push_back({primary_->name(), cfg_.primary_ip, /*serial=*/true});
+  pc.group.push_back({backup_->name(), cfg_.backup_ip, /*serial=*/true});
+  for (int i = 1; i < backup_count(); ++i) {
+    pc.group.push_back({extra_hosts_[static_cast<std::size_t>(i - 1)]->name(),
+                        backup_ip(i), /*serial=*/false});
   }
+  pc.my_member = 0;
   sttcp::StTcpConfig bc = pc;
   bc.my_ip = cfg_.backup_ip;
-  bc.peer_ip = cfg_.primary_ip;
-  bc.peer_name = primary_->name();
-  bc.my_member = cfg_.extra_backups > 0 ? 1 : -1;
+  bc.my_member = 1;
 
   primary_ep_ = std::make_unique<sttcp::StTcpEndpoint>(
       *primary_, *primary_stack_, power, &serial_->port(0), sttcp::Role::kPrimary, pc);
@@ -157,8 +150,6 @@ void Cell::start() {
   for (int i = 1; i < backup_count(); ++i) {
     sttcp::StTcpConfig xc = pc;
     xc.my_ip = backup_ip(i);
-    xc.peer_ip = cfg_.primary_ip;
-    xc.peer_name = primary_->name();
     xc.my_member = 1 + i;
     extra_eps_.push_back(std::make_unique<sttcp::StTcpEndpoint>(
         *extra_hosts_[static_cast<std::size_t>(i - 1)],

@@ -61,11 +61,11 @@ struct CellConfig {
   sim::Duration primary_cpu_packet_time = sim::Duration::zero();
   sim::Duration backup_cpu_packet_time = sim::Duration::zero();
 
-  /// Backups beyond the classic one: 0 keeps the paper's 1+1 pair (and the
-  /// pair wire protocol / RNG fork order bit-exactly); k > 0 builds a 1+N
-  /// replication group with N = 1 + k backups. Extra backups ("backup2",
-  /// "backup3", ...) take backup_ip + 1, + 2, ..., tap the same multicast
-  /// group, and run IP-heartbeats only — the serial cable stays the
+  /// Backups beyond the classic one: the roster has 2 + k members. 0 is the
+  /// paper's pair (its wire protocol and RNG fork order bit-exact); k > 0
+  /// builds a 1+N replication group with N = 1 + k backups. Extra backups
+  /// ("backup2", "backup3", ...) take backup_ip + 1, + 2, ..., tap the same
+  /// multicast group, and run IP-heartbeats only — the serial cable stays the
   /// primary/backup point-to-point RS-232 of the paper (see
   /// docs/GROUPS.md for why quorum-over-IP replaces serial at N > 2).
   int extra_backups = 0;

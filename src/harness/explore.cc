@@ -73,7 +73,7 @@ std::uint64_t Explorer::state_digest(sim::EventLoop& loop, Scenario& sc,
   h = fnv_mix(h, sc.world().trace().count("stonith"));
   h = fnv_mix(h, sc.world().trace().count("non_ft_mode"));
   if (sc.backup_count() > 1) {
-    // Promotion-race markers (group mode only, so pair digests are
+    // Promotion-race markers (wide rosters only, so pair digests are
     // unchanged): these distinguish "convicted, racing" from "promoted".
     h = fnv_mix(h, sc.world().trace().count("member_convicted"));
     h = fnv_mix(h, sc.world().trace().count("promoted"));

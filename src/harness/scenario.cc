@@ -133,28 +133,4 @@ void Scenario::inject(const FaultPlan& plan) {
   for (const Fault& f : plan.faults()) inject(f);
 }
 
-void Scenario::crash_primary_at(sim::Duration t) {
-  inject(Fault::Crash(Node::kPrimary).at(t));
-}
-
-void Scenario::crash_backup_at(sim::Duration t) {
-  inject(Fault::Crash(Node::kBackup).at(t));
-}
-
-void Scenario::fail_primary_nic_at(sim::Duration t) {
-  inject(Fault::NicFailure(Node::kPrimary).at(t));
-}
-
-void Scenario::fail_backup_nic_at(sim::Duration t) {
-  inject(Fault::NicFailure(Node::kBackup).at(t));
-}
-
-void Scenario::fail_serial_at(sim::Duration t) {
-  inject(Fault::SerialCut().at(t));
-}
-
-void Scenario::drop_backup_frames_at(sim::Duration t, int n) {
-  inject(Fault::FrameLoss(Node::kBackup, n).at(t));
-}
-
 }  // namespace sttcp::harness

@@ -180,20 +180,6 @@ class Scenario {
     return server_apps_[static_cast<std::size_t>(n)];
   }
 
-  /// \deprecated Wrappers over inject(); use the Fault factories instead,
-  /// e.g. inject(Fault::Crash(Node::kPrimary).at(t)).
-  void crash_primary_at(sim::Duration t);
-  /// \deprecated See crash_primary_at.
-  void crash_backup_at(sim::Duration t);
-  /// \deprecated See crash_primary_at.
-  void fail_primary_nic_at(sim::Duration t);
-  /// \deprecated See crash_primary_at.
-  void fail_backup_nic_at(sim::Duration t);
-  /// \deprecated See crash_primary_at.
-  void fail_serial_at(sim::Duration t);
-  /// \deprecated See crash_primary_at.
-  void drop_backup_frames_at(sim::Duration t, int n);
-
   // --- telemetry ------------------------------------------------------------------
   /// Null unless cfg.enable_metrics.
   obs::MetricsRegistry* metrics() { return topo_->metrics(); }

@@ -178,7 +178,7 @@ void Topology::export_metrics() {
     reg.counter(p + ".hb_stale").set(s.hb_stale);
     reg.counter(p + ".control_malformed").set(s.control_malformed);
     reg.counter(p + ".hold_peak_bytes").set(ep->hold_peak_bytes());
-    if (ep->group_mode()) {
+    if (ep->view_on_wire()) {
       reg.counter(p + ".promotions").set(s.promotions);
       reg.counter(p + ".votes_granted").set(s.votes_granted);
       reg.counter(p + ".votes_denied").set(s.votes_denied);

@@ -44,21 +44,21 @@ void DecisionLog::set_standalone(bool standalone, bool retain) {
   if (commit_advanced && commit_hook_) commit_hook_();
 }
 
-void DecisionLog::on_peer_ack(std::uint64_t cum) {
+void DecisionLog::on_peer_ack(std::uint64_t cum, std::uint64_t held) {
+  held = std::min(held, cum);
+  while (!unacked_.empty() && unacked_.front().seq <= held) unacked_.pop_front();
   if (cum <= peer_acked_) return;
   peer_acked_ = cum;
-  while (!unacked_.empty() && unacked_.front().seq <= cum) unacked_.pop_front();
   if (commit_hook_) commit_hook_();
 }
 
-std::vector<DecisionRecord> DecisionLog::unacked(std::size_t max) const {
-  std::vector<DecisionRecord> out;
-  out.reserve(std::min(max, unacked_.size()));
-  for (const DecisionRecord& r : unacked_) {
-    if (out.size() >= max) break;
-    out.push_back(r);
-  }
-  return out;
+std::vector<DecisionRecord> DecisionLog::unacked(std::size_t max,
+                                                 std::uint64_t after) const {
+  auto it = std::upper_bound(
+      unacked_.begin(), unacked_.end(), after,
+      [](std::uint64_t seq, const DecisionRecord& r) { return seq < r.seq; });
+  const auto n = std::min<std::size_t>(max, static_cast<std::size_t>(unacked_.end() - it));
+  return std::vector<DecisionRecord>(it, it + static_cast<std::ptrdiff_t>(n));
 }
 
 bool DecisionLog::ingest(const std::vector<DecisionRecord>& recs) {
@@ -98,17 +98,17 @@ void DecisionLog::advance_rx_cursor() {
   if (contiguous > rx_cursor_) rx_cursor_ = contiguous;
 }
 
-const DecisionRecord* DecisionLog::peek() const {
-  return queue_.empty() ? nullptr : &queue_.front();
-}
+const DecisionRecord* DecisionLog::peek() const { return peek_ahead(0); }
 
 const DecisionRecord* DecisionLog::peek_ahead(std::size_t offset) const {
-  return offset < queue_.size() ? &queue_[offset] : nullptr;
+  return offset < queue_.size() && queue_[offset].seq <= consume_limit_
+             ? &queue_[offset]
+             : nullptr;
 }
 
 bool DecisionLog::try_take(DecisionKind kind, std::uint64_t* value) {
-  if (queue_.empty() ||
-      queue_.front().kind != static_cast<std::uint8_t>(kind)) {
+  const DecisionRecord* next = peek();
+  if (next == nullptr || next->kind != static_cast<std::uint8_t>(kind)) {
     return false;
   }
   if (value != nullptr) *value = queue_.front().value;
@@ -118,7 +118,21 @@ bool DecisionLog::try_take(DecisionKind kind, std::uint64_t* value) {
   return true;
 }
 
-void DecisionLog::promote() {
+void DecisionLog::set_consume_limit(std::uint64_t seq) {
+  const bool raised = seq > consume_limit_;
+  consume_limit_ = seq;
+  if (raised && !queue_.empty() && ingest_hook_) ingest_hook_();
+}
+
+void DecisionLog::truncate_above(std::uint64_t seq) {
+  seq = std::max(seq, consumed_through());  // consumed records stay consumed
+  while (!queue_.empty() && queue_.back().seq > seq) queue_.pop_back();
+  parked_.erase(parked_.upper_bound(seq), parked_.end());
+  rx_cursor_ = next_consume_ + queue_.size() - 1;
+  max_seen_ = std::min(max_seen_, seq);
+}
+
+void DecisionLog::promote(bool followers) {
   if (mode_ == Mode::kRecord) return;
   mode_ = Mode::kRecord;
   // queue_ is the contiguous prefix by construction; parked_ records sit
@@ -127,14 +141,27 @@ void DecisionLog::promote() {
   stats_.promote_kept += queue_.size();
   stats_.promote_dropped += parked_.size();
   parked_.clear();
-  // Number fresh decisions above everything ever seen: a rejoiner that later
-  // restores from our checkpoint must never see a seq reused with a
-  // different value.
-  next_seq_ = std::max(max_seen_, next_consume_ + queue_.size() - 1) + 1;
+  const std::uint64_t kept = next_consume_ + queue_.size() - 1;
   peer_acked_ = 0;
-  standalone_ = true;
-  retain_ = false;
-  unacked_.clear();
+  consume_limit_ = kNoLimit;
+  if (followers) {
+    // Followers truncate above the kept prefix, so numbering resumes right
+    // after it; the prefix itself is re-offered (a follower may lack any
+    // record above its own ack), and fresh decisions wait for their acks.
+    next_seq_ = kept + 1;
+    kept_prefix_ = kept;
+    standalone_ = false;
+    retain_ = true;
+    unacked_.assign(queue_.begin(), queue_.end());
+  } else {
+    // Number fresh decisions above everything ever seen: a rejoiner that
+    // later restores from our checkpoint must never see a seq reused with a
+    // different value.
+    next_seq_ = std::max(max_seen_, kept) + 1;
+    standalone_ = true;
+    retain_ = false;
+    unacked_.clear();
+  }
   if (promote_hook_) promote_hook_();
   if (commit_hook_) commit_hook_();
 }
@@ -151,6 +178,8 @@ void DecisionLog::reset(Mode mode) {
   rx_cursor_ = 0;
   next_consume_ = 1;
   max_seen_ = 0;
+  consume_limit_ = kNoLimit;
+  kept_prefix_ = 0;
 }
 
 net::Bytes DecisionLog::serialize() const {

@@ -27,6 +27,7 @@
 // response inside the dead primary.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -95,16 +96,29 @@ class DecisionLog {
   std::uint64_t commit_through() const {
     return standalone_ ? last_seq() : peer_acked_;
   }
+  /// Highest seq every live member holds, as the recording side knows it:
+  /// the prefix a promotion kept, raised by the members' minimum cumulative
+  /// ack. A leader advertises it so followers consume only what a promoted
+  /// successor is certain to replay identically.
+  std::uint64_t shared_through() const { return std::max(kept_prefix_, peer_acked_); }
+  /// The prefix this log kept when it was promoted with followers (0 for a
+  /// log that has recorded from the start).
+  std::uint64_t kept_prefix() const { return kept_prefix_; }
   /// No live peer: commit everything immediately. `retain` keeps appended
   /// records queued for a (future) rejoiner — the reintegrating survivor
   /// sets it so decisions made while the snapshot streams still reach the
   /// rejoiner; a lone non-FT server drops them on append.
   void set_standalone(bool standalone, bool retain);
   bool standalone() const { return standalone_; }
-  /// Peer acknowledged every seq <= cum (from the heartbeat decision block).
-  void on_peer_ack(std::uint64_t cum);
-  /// Oldest unacked records, capped (heartbeat retransmission window).
-  std::vector<DecisionRecord> unacked(std::size_t max) const;
+  /// Every member that commit waits for holds every seq <= cum (the minimum
+  /// of their heartbeat acks). Records leave the retransmission window only
+  /// through `held` (<= cum): a rejoiner restored from our checkpoint does
+  /// not gate commit, but still needs every record above its own ack.
+  void on_peer_ack(std::uint64_t cum, std::uint64_t held);
+  void on_peer_ack(std::uint64_t cum) { on_peer_ack(cum, cum); }
+  /// Oldest unacked records above `after` (the recipient's own ack), capped
+  /// (heartbeat retransmission window).
+  std::vector<DecisionRecord> unacked(std::size_t max, std::uint64_t after = 0) const;
   /// The application finished a batch of choices and wants them on the wire
   /// now instead of at the next periodic beat (fires the endpoint's hook).
   void request_flush() {
@@ -118,6 +132,15 @@ class DecisionLog {
   bool ingest(const std::vector<DecisionRecord>& recs);
   /// Highest contiguously ingested-or-consumed seq: the cumulative ack.
   std::uint64_t rx_cursor() const { return rx_cursor_; }
+  /// Highest seq already consumed.
+  std::uint64_t consumed_through() const { return next_consume_ - 1; }
+  /// Consume no record above `seq` (the leader's shared point). Unlimited
+  /// by default: with a single follower its own cursor is the bound.
+  void set_consume_limit(std::uint64_t seq);
+  /// A new leader kept only the prefix through `seq`: forget every
+  /// unconsumed record above it (the leader re-offers what it kept and
+  /// numbers fresh decisions right after it).
+  void truncate_above(std::uint64_t seq);
   /// Next record due for consumption, or nullptr if it has not arrived.
   const DecisionRecord* peek() const;
   /// Like peek, but looking `offset` records past the next one — the
@@ -130,10 +153,14 @@ class DecisionLog {
   std::size_t pending_replay() const { return queue_.size(); }
 
   // --- role transitions ------------------------------------------------------
-  /// Backup -> primary at takeover: keep the contiguous queued prefix, drop
-  /// everything past the first gap (see file comment), continue numbering
-  /// above every seq ever seen.
-  void promote();
+  /// Backup -> primary at takeover: keep the contiguous queued prefix and
+  /// drop everything past the first gap (see file comment). Alone
+  /// (`followers` false) the log goes standalone and numbers fresh
+  /// decisions above every seq ever seen. With followers it stays
+  /// peer-acked: the kept prefix is re-offered to every member (each one
+  /// dropped whatever it held above it) and fresh decisions continue right
+  /// after it.
+  void promote(bool followers = false);
   /// Fresh process (host boot hook) — everything forgotten.
   void reset(Mode mode);
 
@@ -170,6 +197,9 @@ class DecisionLog {
   std::uint64_t rx_cursor_ = 0;       // highest contiguous seq ingested/consumed
   std::uint64_t next_consume_ = 1;    // seq of the next record to consume
   std::uint64_t max_seen_ = 0;        // highest seq ever ingested
+  std::uint64_t consume_limit_ = kNoLimit;
+  std::uint64_t kept_prefix_ = 0;     // record side: prefix kept at promotion
+  static constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
 
   std::function<void()> flush_hook_;
   std::function<void()> commit_hook_;

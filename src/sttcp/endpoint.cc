@@ -1,6 +1,8 @@
 #include "sttcp/endpoint.h"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 
 #include "sttcp/logger.h"
 #include "sttcp/reintegration.h"
@@ -22,6 +24,11 @@ StTcpEndpoint::StTcpEndpoint(net::Host& host, tcp::TcpStack& stack,
       promote_timer_(host.world().loop()),
       ping_timer_(host.world().loop()),
       logger_timer_(host.world().loop()) {
+  if (cfg_.group.size() < 2 || cfg_.my_member < 0 ||
+      static_cast<std::size_t>(cfg_.my_member) >= cfg_.group.size()) {
+    throw std::invalid_argument(
+        "StTcpConfig: the roster needs at least two members, my_member among them");
+  }
   reintegrator_ = std::make_unique<Reintegrator>(*this);
 }
 
@@ -29,8 +36,6 @@ StTcpEndpoint::~StTcpEndpoint() = default;
 
 void StTcpEndpoint::start() {
   started_ = true;
-  last_rx_ip_ = world_.now();
-  last_rx_serial_ = world_.now();
 
   if (auto* reg = world_.metrics()) {
     const std::string prefix = "sttcp." + host_.name();
@@ -39,39 +44,38 @@ void StTcpEndpoint::start() {
     m_hold_bytes_ = &reg->gauge(prefix + ".hold_buffer_bytes");
     m_recovery_bytes_ = &reg->counter(prefix + ".recovery_bytes");
     m_app_lag_bytes_ = &reg->gauge(prefix + ".app_lag_bytes");
-    if (group_mode()) {
+    if (view_on_wire()) {
       m_rank_ = &reg->gauge(prefix + ".rank");
       m_epoch_ = &reg->gauge(prefix + ".view_epoch");
     }
     timeline_ = &reg->timeline();
   }
 
-  if (group_mode()) {
-    // Initial view: every configured member, in configured rank order.
-    view_.epoch = 0;
-    view_.order.clear();
-    peers_.clear();
-    for (std::size_t i = 0; i < cfg_.group.size(); ++i) {
-      view_.order.push_back(static_cast<std::uint8_t>(i));
-      if (static_cast<int>(i) == cfg_.my_member) continue;
-      GroupPeer p;
-      p.member = static_cast<std::uint8_t>(i);
-      p.ip = cfg_.group[i].ip;
-      p.name = cfg_.group[i].name;
-      p.has_serial = cfg_.group[i].serial &&
-                     cfg_.group[static_cast<std::size_t>(cfg_.my_member)].serial;
-      p.last_rx_ip = world_.now();
-      p.last_rx_serial = world_.now();
-      peers_.push_back(p);
-    }
-    update_group_gauges();
+  // Initial view: every roster member, in configured rank order.
+  view_.epoch = 0;
+  view_.order.clear();
+  peers_.clear();
+  for (std::size_t i = 0; i < cfg_.group.size(); ++i) {
+    view_.order.push_back(static_cast<std::uint8_t>(i));
+    if (static_cast<int>(i) == cfg_.my_member) continue;
+    GroupPeer p;
+    p.member = static_cast<std::uint8_t>(i);
+    p.ip = cfg_.group[i].ip;
+    p.name = cfg_.group[i].name;
+    p.has_serial = cfg_.group[i].serial &&
+                   cfg_.group[static_cast<std::size_t>(cfg_.my_member)].serial;
+    p.last_rx_ip = world_.now();
+    p.last_rx_serial = world_.now();
+    peers_.push_back(p);
   }
+  log_leader_ = view_.leader();
+  update_group_gauges();
 
   stack_.set_observer(this);
   if (cfg_.deterministic_isn) {
-    // Both roles install the same keyed ISN function: the primary uses it to
-    // pick the ISS in its SYN-ACK, the backup to reconstruct that ISS from a
-    // tapped SYN, and a promoted backup keeps using it for fresh accepts.
+    // Every member installs the same keyed ISN function: the leader uses it
+    // to pick the ISS in its SYN-ACK, a follower to reconstruct that ISS from
+    // a tapped SYN, and a promoted follower keeps using it for fresh accepts.
     stack_.set_accept_isn_fn([this](const tcp::FourTuple& t) {
       if (t.local.ip == cfg_.service_ip && t.local.port == cfg_.service_port) {
         return service_isn(t);
@@ -100,8 +104,8 @@ void StTcpEndpoint::start() {
     ping_timer_.cancel();
     promote_timer_.cancel();
   });
-  // Reintegration: a powered-on host re-enters the pair as a rejoining
-  // backup. Runs after the stack's own boot hook (registered in the stack
+  // Reintegration: a powered-on host re-enters the roster as a rejoining
+  // follower. Runs after the stack's own boot hook (registered in the stack
   // ctor, before this endpoint existed), so the stack is already blank.
   host_.add_boot_hook([this] {
     if (started_) reintegrator_->enter_rejoin();
@@ -123,22 +127,20 @@ void StTcpEndpoint::install_replica_seams() {
 }
 
 bool StTcpEndpoint::ip_channel_alive() const {
-  const sim::Duration deadline =
-      cfg_.hb_period * cfg_.hb_miss_threshold + cfg_.hb_period / 2;
-  return world_.now() - last_rx_ip_ <= deadline;
+  return std::any_of(peers_.begin(), peers_.end(),
+                     [this](const GroupPeer& p) { return peer_ip_alive(p); });
 }
 
 bool StTcpEndpoint::serial_channel_alive() const {
-  const sim::Duration deadline =
-      cfg_.hb_period * cfg_.hb_miss_threshold + cfg_.hb_period / 2;
-  return world_.now() - last_rx_serial_ <= deadline;
+  return std::any_of(peers_.begin(), peers_.end(),
+                     [this](const GroupPeer& p) { return peer_serial_alive(p); });
 }
 
 // ---------------------------------------------------------------------------
 // Heartbeat
 // ---------------------------------------------------------------------------
 
-HeartbeatMsg StTcpEndpoint::make_hb_header() {
+HeartbeatMsg StTcpEndpoint::make_hb_header(const GroupPeer& to) {
   HeartbeatMsg msg;
   msg.role = role_;
   msg.hb_seq = hb_seq_++;
@@ -148,28 +150,37 @@ HeartbeatMsg StTcpEndpoint::make_hb_header() {
   msg.rejoin_request = reintegrator_->rejoin_request_flag();
   msg.rejoin_ready = reintegrator_->rejoin_ready_flag();
   msg.rejoin_epoch = reintegrator_->epoch();
-  if (group_mode()) {
+  if (view_on_wire()) {
     msg.group_valid = true;
     msg.member = my_member();
     msg.view_epoch = view_.epoch;
     msg.view_order = view_.order;
+    if (decision_log_ != nullptr && decision_log_->recording()) {
+      msg.decision_base = decision_log_->kept_prefix();
+      msg.decision_shared = decision_log_->shared_through();
+    }
   }
-  // Logged-decision block (pair mode only, docs/APPLICATION.md): cumulative
-  // ack of the peer's decision stream + our own unacked records, capped so
-  // a burst cannot blow the UDP byte budget — periodic beats retransmit the
-  // remainder oldest-first until acked.
-  if (decision_log_ != nullptr && !group_mode() &&
-      replicating_or_reintegrating()) {
+  // Logged-decision block (docs/APPLICATION.md): cumulative ack of the
+  // leader's decision stream + our own records above the recipient's ack,
+  // capped so a burst cannot blow the UDP byte budget — periodic beats
+  // retransmit the remainder oldest-first until acked. A follower whose
+  // view names a leader it has not resynchronised with yet acks only what
+  // it consumed: records above that leader's kept prefix may be stale.
+  if (decision_log_ != nullptr && replicating_or_reintegrating()) {
     constexpr std::size_t kMaxDecisionsPerBeat = 512;
+    const bool resyncing = !decision_log_->recording() &&
+                           log_leader_ != view_.leader() &&
+                           !view_.is_leader(my_member());
     msg.decisions_valid = true;
-    msg.decision_ack = decision_log_->rx_cursor();
-    msg.decisions = decision_log_->unacked(kMaxDecisionsPerBeat);
+    msg.decision_ack = resyncing ? decision_log_->consumed_through()
+                                 : decision_log_->rx_cursor();
+    msg.decisions = decision_log_->unacked(kMaxDecisionsPerBeat, to.decision_ack);
   }
   return msg;
 }
 
 HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
-                                    int peer_idx) const {
+                                    std::size_t peer_idx) const {
   HbRecord rec;
   rec.repl_id = id;
   rec.fin_generated = rc.fin();
@@ -179,13 +190,9 @@ HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
   rec.acked_by_peer = rc.acked();
   rec.app_written = rc.written();
   rec.app_read = rc.read();
-  // Group mode announces are per-member: each member keeps seeing the
-  // announce until IT has echoed the id (pair mode keeps the shared flag).
-  const bool announce_needed =
-      peer_idx < 0 ? !rc.announce_confirmed
-                   : !(static_cast<std::size_t>(peer_idx) < rc.gp.size() &&
-                       rc.gp[static_cast<std::size_t>(peer_idx)].echoed);
-  if (role_ == Role::kPrimary && announce_needed && rc.conn != nullptr) {
+  // Announces are per member: each member keeps seeing the announce until
+  // IT has echoed the id.
+  if (role_ == Role::kPrimary && !rc.gp[peer_idx].echoed && rc.conn != nullptr) {
     rec.announce = true;
     rec.established = true;
     rec.client_ip = rc.tuple.remote.ip;
@@ -195,11 +202,11 @@ HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
     rec.irs = rc.conn->irs();
   }
   if (role_ == Role::kBackup && id >= 0x8000 && rc.conn != nullptr) {
-    // A replica still under an inferred id: the primary cannot match the
+    // A replica still under an inferred id: the leader cannot match the
     // record by id, so carry the tuple (announce extension) and let it match
-    // by connection identity. Under load the primary's own announce can sit
+    // by connection identity. Under load the leader's own announce can sit
     // behind seconds of queued client data on its uplink — this leg rides
-    // the backup's idle uplink, so "peer never replicated" stays quiet.
+    // the follower's idle uplink, so "peer never replicated" stays quiet.
     rec.announce = true;
     rec.established = rc.conn->state() != tcp::TcpState::kSynRcvd;
     rec.client_ip = rc.tuple.remote.ip;
@@ -214,29 +221,13 @@ HbRecord StTcpEndpoint::make_record(std::uint16_t id, const ReplConn& rc,
 void StTcpEndpoint::send_heartbeat(bool include_serial) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
   if (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant) return;
-  if (group_mode()) {
-    send_group_heartbeat(include_serial);
-    return;
-  }
-
-  HeartbeatMsg msg = make_hb_header();
-  msg.records.reserve(conns_.size());
-  for (auto& [id, rc] : conns_) msg.records.push_back(make_record(id, *rc));
-  std::size_t total = 0;
-  for (const auto& r : msg.records) total += r.wire_size();
-  emit_heartbeat(msg, total, cfg_.peer_ip, include_serial ? serial_ : nullptr,
-                 udp_rr_next_id_, serial_rr_next_id_);
-  ++stats_.hb_sent;
-}
-
-void StTcpEndpoint::send_group_heartbeat(bool include_serial) {
   // One copy per member, each with ITS view of the announces and ITS
   // rotation cursors: a record's window position for member A must not
   // advance because a copy went to member B (a shared cursor would starve
   // every record at fan-out > 1 under budget pressure).
-  for (GroupPeer& p : peers_) {
-    const int pi = static_cast<int>(&p - peers_.data());
-    HeartbeatMsg msg = make_hb_header();
+  for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
+    GroupPeer& p = peers_[pi];
+    HeartbeatMsg msg = make_hb_header(p);
     msg.records.reserve(conns_.size());
     for (auto& [id, rc] : conns_) msg.records.push_back(make_record(id, *rc, pi));
     std::size_t total = 0;
@@ -323,22 +314,12 @@ void StTcpEndpoint::emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_by
 void StTcpEndpoint::send_event_heartbeat(std::uint16_t id) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
   if (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant) return;
-  if (group_mode()) {
-    for (GroupPeer& p : peers_) {
-      const int pi = static_cast<int>(&p - peers_.data());
-      HeartbeatMsg msg = make_hb_header();
-      if (const ReplConn* rc = by_id(id)) {
-        msg.records.push_back(make_record(id, *rc, pi));
-      }
-      host_.udp_send(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, msg.serialize());
-    }
-    ++stats_.hb_sent;
-    return;
+  for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
+    HeartbeatMsg msg = make_hb_header(peers_[pi]);
+    if (const ReplConn* rc = by_id(id)) msg.records.push_back(make_record(id, *rc, pi));
+    host_.udp_send(cfg_.my_ip, cfg_.hb_port, peers_[pi].ip, cfg_.hb_port,
+                   msg.serialize());
   }
-  HeartbeatMsg msg = make_hb_header();
-  if (const ReplConn* rc = by_id(id)) msg.records.push_back(make_record(id, *rc));
-  host_.udp_send(cfg_.my_ip, cfg_.hb_port, cfg_.peer_ip, cfg_.hb_port,
-                 msg.serialize());
   ++stats_.hb_sent;
 }
 
@@ -357,30 +338,67 @@ void StTcpEndpoint::set_decision_log(DecisionLog* log) {
 }
 
 void StTcpEndpoint::send_decision_heartbeat() {
-  if (!host_.alive() || decision_log_ == nullptr || group_mode()) return;
+  if (!host_.alive() || decision_log_ == nullptr) return;
   if (!replicating_or_reintegrating()) return;
   // A records-free header still carries the decision block — the cheap
-  // event-style beat for both directions (primary: fresh records; backup:
-  // a fresh cumulative ack the primary's output gate is waiting on). Rides
+  // event-style beat for both directions (leader: fresh records; follower:
+  // a fresh cumulative ack the leader's output gate is waiting on). Rides
   // the IP channel only, like other event heartbeats: the serial line is
   // too slow for per-request traffic.
-  HeartbeatMsg msg = make_hb_header();
-  host_.udp_send(cfg_.my_ip, cfg_.hb_port, cfg_.peer_ip, cfg_.hb_port,
-                 msg.serialize());
+  for (const GroupPeer& p : peers_) {
+    HeartbeatMsg msg = make_hb_header(p);
+    host_.udp_send(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, msg.serialize());
+  }
   ++stats_.hb_sent;
   ++stats_.decision_hb_sent;
 }
 
-void StTcpEndpoint::process_decisions(const HeartbeatMsg& msg) {
+void StTcpEndpoint::process_decisions(const HeartbeatMsg& msg, GroupPeer& from) {
   if (decision_log_ == nullptr || !msg.decisions_valid) return;
-  decision_log_->on_peer_ack(msg.decision_ack);
+  // An ack counts only from a member on our view epoch: a follower still on
+  // an older view may ack records a since-promoted leader never sent.
+  if (!msg.group_valid || msg.view_epoch == view_.epoch) {
+    from.decision_ack = msg.decision_ack;
+  }
+  refresh_decision_ack();
+  // Follower: the leader's group block bounds what may be consumed — only
+  // records every live member holds, so whoever is promoted next replays
+  // the same values. Meeting a new leader's block first drops whatever we
+  // held above the prefix it kept.
+  if (msg.group_valid && !decision_log_->recording() &&
+      msg.member == view_.leader() && !msg.view_order.empty() &&
+      msg.view_order.front() == msg.member &&
+      static_cast<std::int32_t>(msg.view_epoch - view_.epoch) >= 0) {
+    if (log_leader_ != msg.member) {
+      decision_log_->truncate_above(msg.decision_base);
+      log_leader_ = msg.member;
+    }
+    decision_log_->set_consume_limit(msg.decision_shared);
+  }
   if (decision_log_->ingest(msg.decisions)) {
     // Our replay cursor advanced: ack promptly instead of waiting out the
-    // heartbeat period — the primary's output-commit gate holds client
+    // heartbeat period — the leader's output-commit gate holds client
     // responses until this ack lands. No storm: the ack beat carries no new
-    // records, so the peer's ingest cannot advance and echo back.
+    // records, so the leader's ingest cannot advance and echo back.
     send_decision_heartbeat();
   }
+}
+
+void StTcpEndpoint::refresh_decision_ack() {
+  if (decision_log_ == nullptr) return;
+  // Commit waits for every member of the view: any of them may be promoted
+  // next. A rejoiner being reintegrated is not promotable until committed;
+  // it only keeps the records it still lacks in the retransmission window.
+  const int rejoiner =
+      mode_ == Mode::kReintegrating ? reintegrator_->rejoin_member() : -1;
+  std::optional<std::uint64_t> view_ack, held;
+  for (const GroupPeer& p : peers_) {
+    const bool in_view = view_.contains(p.member);
+    if (!in_view && p.member != rejoiner) continue;
+    held = std::min(held.value_or(p.decision_ack), p.decision_ack);
+    if (in_view) view_ack = std::min(view_ack.value_or(p.decision_ack), p.decision_ack);
+  }
+  if (held) decision_log_->on_peer_ack(view_ack.value_or(*held), *held);
 }
 
 void StTcpEndpoint::sync_decision_log() {
@@ -393,8 +411,10 @@ void StTcpEndpoint::sync_decision_log() {
       // Commit without the rejoiner (clients must not stall behind a
       // snapshot transfer) but retain every record: the rejoiner's restored
       // cursor skips the ones its checkpoint already folds in and replays
-      // the rest.
-      decision_log_->set_standalone(true, /*retain=*/true);
+      // the rest. Live followers still gate commit — one of them, not the
+      // rejoiner, is promoted if we die mid-transfer.
+      decision_log_->set_standalone(
+          live_followers(reintegrator_->rejoin_member()) == 0, /*retain=*/true);
       break;
     case Mode::kTakenOver:
     case Mode::kNonFaultTolerant:
@@ -420,60 +440,94 @@ void StTcpEndpoint::on_hb_datagram(net::BytesView payload, bool via_serial) {
 }
 
 void StTcpEndpoint::on_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
-  if (group_mode()) {
-    on_group_heartbeat(msg, via_serial);
+  // The sender: the group block names it; the pair's wire format has none,
+  // and the only other roster member sent it.
+  GroupPeer* p = msg.group_valid ? peer_by_member(msg.member)
+                 : peers_.size() == 1 ? &peers_.front()
+                                      : nullptr;
+  if (p == nullptr) return;
+  const std::size_t pi = static_cast<std::size_t>(p - peers_.data());
+  if (msg.group_valid && !GroupView::valid_order(msg.view_order, cfg_.group.size())) {
+    ++stats_.hb_malformed;
+    world_.trace().record(host_.name(), "hb_malformed", "view");
     return;
   }
-  // Rejoin solicitations are handled BEFORE the role-reflection guard: a
-  // former backup that survived a takeover still calls itself backup, and so
-  // does the rejoiner — identical roles must not drop the request. A
-  // replicating backup ignores it (the detector promotes us first; the
-  // requesting peer is by definition not heartbeating normally).
+
+  // Rejoin solicitations are handled BEFORE the reflection guard: a former
+  // backup that survived a takeover still calls itself backup, and so does
+  // the rejoiner — identical roles must not drop the request. The leader
+  // serves them while replicating; a survivor that fell out of replication
+  // (last one standing) serves them too.
   if (msg.rejoin_request &&
       (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant ||
        mode_ == Mode::kReintegrating ||
-       (mode_ == Mode::kReplicating && role_ == Role::kPrimary))) {
-    reintegrator_->on_rejoin_request(msg.rejoin_epoch);
+       (mode_ == Mode::kReplicating && view_.is_leader(my_member())))) {
+    reintegrator_->on_rejoin_request(msg.rejoin_epoch, p->member);
   }
-  if (msg.role == role_) return;  // our own reflection; should not happen
+  // Without a member field, a beat claiming our own role is our reflection.
+  if (!msg.group_valid && msg.role == role_) return;
+
   if (via_serial) {
     if (m_hb_gap_serial_us_ != nullptr) {
       m_hb_gap_serial_us_->record(
-          static_cast<std::uint64_t>((world_.now() - last_rx_serial_).us()));
+          static_cast<std::uint64_t>((world_.now() - p->last_rx_serial).us()));
     }
-    last_rx_serial_ = world_.now();
+    p->last_rx_serial = world_.now();
     ++stats_.hb_received_serial;
   } else {
     if (m_hb_gap_ip_us_ != nullptr) {
       m_hb_gap_ip_us_->record(
-          static_cast<std::uint64_t>((world_.now() - last_rx_ip_).us()));
+          static_cast<std::uint64_t>((world_.now() - p->last_rx_ip).us()));
     }
-    last_rx_ip_ = world_.now();
+    p->last_rx_ip = world_.now();
     ++stats_.hb_received_ip;
   }
   if (timeline_ != nullptr) timeline_->heartbeat_seen(world_.now());
+
   // Bounded-reorder guard: a duplicated or link-reordered heartbeat still
   // proves the channel is alive (counted above), but its state must not
   // rewind newer arbitration input (ping streaks, rejoin handshakes). A
   // small backward sequence jump is a stale copy; a large one is a rebooted
-  // peer restarting its sequence and is accepted as a fresh stream.
-  const auto seq_delta =
-      static_cast<std::int32_t>(msg.hb_seq - last_peer_hb_seq_);
-  if (seen_peer_hb_ && seq_delta < 0 && seq_delta > -4096) {
+  // member restarting its sequence and is accepted as a fresh stream.
+  const auto seq_delta = static_cast<std::int32_t>(msg.hb_seq - p->last_hb_seq);
+  if (p->seen_hb && seq_delta < 0 && seq_delta > -4096) {
     ++stats_.hb_stale;
     return;
   }
-  seen_peer_hb_ = true;
-  last_peer_hb_seq_ = msg.hb_seq;
-  if (msg.rejoin_ready) reintegrator_->on_rejoin_ready(msg.rejoin_epoch);
+  p->seen_hb = true;
+  p->last_hb_seq = msg.hb_seq;
+
+  if (msg.group_valid) {
+    // Conviction revert: we convicted this member, yet here it is — alive
+    // and claiming leadership with a view at least as new as ours. The
+    // conviction was wrong (a grey channel, not a dead host); reinstate it
+    // before its queued STONITH can ever fire.
+    if (awaiting_leader_ && !view_.contains(msg.member) &&
+        !msg.view_order.empty() && msg.view_order.front() == msg.member &&
+        msg.view_epoch >= view_.epoch) {
+      view_.order.insert(view_.order.begin(), msg.member);
+      stonith_pending_.erase(
+          std::remove(stonith_pending_.begin(), stonith_pending_.end(), msg.member),
+          stonith_pending_.end());
+      awaiting_leader_ = false;
+      ballot_.reset();
+      promote_timer_.cancel();
+      world_.trace().record(host_.name(), "conviction_reverted", p->name);
+    }
+    maybe_adopt_view(msg.view_epoch, msg.view_order);  // may fence us into rejoin
+  }
+
+  if (msg.rejoin_ready) reintegrator_->on_rejoin_ready(msg.rejoin_epoch, p->member);
   if (!replicating_or_reintegrating()) return;
 
   if (msg.ping_valid) {
-    peer_ping_fail_streak_ = msg.ping_ok ? 0 : peer_ping_fail_streak_ + 1;
+    p->ping_fail_streak = msg.ping_ok ? 0 : p->ping_fail_streak + 1;
   }
-  // A suspicion raised mid-reintegration must not convict the peer the
+  // A suspicion raised mid-reintegration must not convict the member the
   // instant replication resumes; only assimilate it in steady state.
-  if (msg.app_suspect && mode_ == Mode::kReplicating) peer_app_suspect_ = true;
+  if (msg.app_suspect && mode_ == Mode::kReplicating && view_.contains(p->member)) {
+    p->app_suspect = true;
+  }
 
   // A rejoiner that has not yet applied the snapshot cannot interpret
   // records (it has no connections, and an announce would cold-start a
@@ -481,63 +535,64 @@ void StTcpEndpoint::on_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
   // checkpoint it is waiting for jumps the replay cursor past them).
   if (mode_ == Mode::kRejoining && !reintegrator_->snapshot_applied()) return;
 
-  process_decisions(msg);
+  process_decisions(msg, *p);
   sync_decision_log();
 
+  // Records count only on the leader<->follower axis: a follower hears
+  // another follower's heartbeats for liveness and promotion, not for
+  // replication.
+  if (!view_.is_leader(my_member()) && !view_.is_leader(p->member) &&
+      mode_ != Mode::kRejoining) {
+    return;
+  }
   for (const HbRecord& rec : msg.records) {
     // A record may have triggered a failover action.
     if (!replicating_or_reintegrating()) break;
-    process_record(rec);
+    process_record(rec, pi);
   }
 }
 
-void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
-  ReplConn* rc = by_id(rec.repl_id);
-  bool matched_by_id = rc != nullptr;
-  if (rc == nullptr) {
-    if (role_ == Role::kBackup && rec.announce) {
+void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t peer_idx) {
+  ReplConn* rc = nullptr;
+  bool matched_by_id = false;
+  if (role_ == Role::kPrimary && rec.announce && rec.repl_id >= 0x8000) {
+    // The follower built this replica on its own (deterministic accept ISN)
+    // and has not yet adopted our id — our announce is still queued behind
+    // client data on the uplink. Its record carries the tuple instead:
+    // match by connection identity so its progress counters count and the
+    // replica-setup grace timer does not convict a healthy follower. The id
+    // is from the follower's own inferred space, so it may name a different
+    // connection of ours and is never trusted alone.
+    tcp::FourTuple t;
+    t.local = net::SocketAddr{cfg_.service_ip, rec.local_port};
+    t.remote = net::SocketAddr{rec.client_ip, rec.client_port};
+    rc = by_tuple(t);
+    matched_by_id = rc != nullptr && rc->id == rec.repl_id;
+  } else {
+    rc = by_id(rec.repl_id);
+    if (rc == nullptr && role_ == Role::kBackup && rec.announce) {
       create_replica_from(rec);
       rc = by_id(rec.repl_id);
-      matched_by_id = rc != nullptr;
-    } else if (role_ == Role::kPrimary && rec.announce &&
-               rec.repl_id >= 0x8000) {
-      // The backup built this replica on its own (deterministic accept ISN)
-      // and has not yet adopted our id — our announce is still queued behind
-      // client data on the uplink. Its record carries the tuple instead:
-      // match by connection identity so its progress counters count and the
-      // replica-setup grace timer does not convict a healthy backup.
-      tcp::FourTuple t;
-      t.local = net::SocketAddr{cfg_.service_ip, rec.local_port};
-      t.remote = net::SocketAddr{rec.client_ip, rec.client_port};
-      rc = by_tuple(t);
     }
-    if (rc == nullptr) return;
+    matched_by_id = rc != nullptr;
   }
+  if (rc == nullptr) return;
 
-  // Only an id echo confirms the announce: a tuple-matched record means the
-  // backup still does not know our id, so the announce must keep flowing.
-  if (role_ == Role::kPrimary && matched_by_id && !rc->announce_confirmed) {
-    rc->announce_confirmed = true;
+  // Keep the per-member mirror the record's sender owns. Only an id echo
+  // confirms the announce: a tuple-matched record means the member still
+  // does not know our id, so the announce must keep flowing to it.
+  ReplConn::PeerProgress& g = rc->gp[peer_idx];
+  if (role_ == Role::kPrimary && matched_by_id && !g.echoed) {
     ++stats_.announces_confirmed;
     world_.trace().record(host_.name(), "announce_confirmed", rc->tuple.str());
   }
-
-  // Group mode: keep the per-member mirror the record's sender owns. The
-  // shared p_* fields below become the max across members (unwrap_counter
-  // ignores regressions), which is what the backup-side detectors want; the
-  // per-member values feed hold release and FIN agreement on the leader.
-  ReplConn::PeerProgress* g = nullptr;
-  if (group_mode() && peer_idx >= 0) {
-    ensure_group_progress(*rc);
-    g = &rc->gp[static_cast<std::size_t>(peer_idx)];
-    g->valid = true;
-    if (matched_by_id) g->echoed = true;
-    g->received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received),
-                                 g->received);
-    g->fin = g->fin || rec.fin_generated;
-    g->rst = g->rst || rec.rst_generated;
-    g->closed = g->closed || rec.closed;
-  }
+  g.valid = true;
+  if (matched_by_id) g.echoed = true;
+  g.received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received),
+                              g.received);
+  g.fin = g.fin || rec.fin_generated;
+  g.rst = g.rst || rec.rst_generated;
+  g.closed = g.closed || rec.closed;
 
   // Unwrap the 32-bit wire counters against the previous values.
   rc->p_received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received),
@@ -558,58 +613,36 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
   rc->progress.observe(rc->p_received + rc->p_acked + rc->p_written + rc->p_read,
                        world_.now());
 
-  // Primary: the backup has confirmed receipt through p_received — release
-  // the hold buffer below that point. Group leader: only below the MINIMUM
-  // confirmed across every live member; a member without a record yet pins
-  // the buffer entirely (its replica may still need every held byte).
+  // Leader: release the hold buffer below the MINIMUM receipt confirmed
+  // across every live member; a member without a record yet pins the
+  // buffer entirely (its replica may still need every held byte).
   if (role_ == Role::kPrimary) {
     std::uint64_t release = rc->p_received;
-    if (g != nullptr) {
-      std::size_t live = 0;
-      bool all_valid = true;
-      std::uint64_t min_rx = rc->p_received;
-      for (std::size_t i = 0; i < peers_.size(); ++i) {
-        if (!view_.contains(peers_[i].member)) continue;
-        ++live;
-        if (!rc->gp[i].valid) {
-          all_valid = false;
-          break;
-        }
-        min_rx = std::min(min_rx, rc->gp[i].received);
-      }
-      release = live == 0 ? rc->p_received : (all_valid ? min_rx : 0);
+    bool all_closed = true;
+    bool any_live = false;
+    for (std::size_t i = 0; i < peers_.size(); ++i) {
+      if (!view_.contains(peers_[i].member)) continue;
+      any_live = true;
+      const ReplConn::PeerProgress& m = rc->gp[i];
+      release = m.valid ? std::min(release, m.received) : 0;
+      all_closed = all_closed && m.valid && m.closed;
     }
     const std::size_t before = rc->hold.size();
     rc->hold.release_to(release);
     note_hold_change(before, rc->hold.size());
-
-    // A group leader's "peer closed" means EVERY live member closed its
-    // replica — GC must not reap the final-counter record while a slower
-    // member still reconciles against it.
-    if (g != nullptr) {
-      bool all_closed = true;
-      std::size_t live = 0;
-      for (std::size_t i = 0; i < peers_.size(); ++i) {
-        if (!view_.contains(peers_[i].member)) continue;
-        ++live;
-        if (!(rc->gp[i].valid && rc->gp[i].closed)) {
-          all_closed = false;
-          break;
-        }
-      }
-      if (live > 0) rc->p_closed = all_closed;
-    }
+    // "Peer closed" means EVERY live member closed its replica — GC must
+    // not reap the final-counter record while a slower member still
+    // reconciles against it.
+    if (any_live) rc->p_closed = all_closed;
   }
 
-  // FIN arbitration: the peer generated a FIN/RST. A group leader holding a
+  // FIN arbitration: a member generated a FIN/RST. A leader holding a
   // withheld FIN settles only on full agreement (every live member FINed);
   // a lone member's FIN with no local counterpart still arms the
-  // disagreement timer below via on_peer_fin_notice.
-  if (rc->p_fin || rc->p_rst) {
-    const bool group_leader = g != nullptr && role_ == Role::kPrimary;
-    if (!group_leader || !rc->fin_withheld || group_fins_agree(*rc)) {
-      on_peer_fin_notice(*rc);
-    }
+  // disagreement timer via on_peer_fin_notice.
+  if ((rc->p_fin || rc->p_rst) &&
+      (role_ != Role::kPrimary || !rc->fin_withheld || fins_agree(*rc))) {
+    on_peer_fin_notice(*rc);
   }
 
   const sim::SimTime now = world_.now();
@@ -635,15 +668,10 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
       rc->ever_served && now - rc->last_served_at < cfg_.hb_period * 3;
   // No lag conviction while a reintegration is in flight: the rejoiner is
   // still catching up by design. Trackers are reset when FT resumes.
-  // Channel liveness is per-member in group mode: the endpoint-level stamps
-  // mix every member's beats, so a single member's dead NIC would vanish in
-  // the aggregate.
-  const bool peer_ip_ok = peer_idx < 0
-                              ? ip_channel_alive()
-                              : peer_ip_alive(peers_[static_cast<std::size_t>(peer_idx)]);
-  const bool peer_serial_ok =
-      peer_idx < 0 ? serial_channel_alive()
-                   : peer_serial_alive(peers_[static_cast<std::size_t>(peer_idx)]);
+  // Channel liveness is the sender's own: an aggregate over members would
+  // hide a single member's dead NIC.
+  const bool peer_ip_ok = peer_ip_alive(peers_[peer_idx]);
+  const bool peer_serial_ok = peer_serial_alive(peers_[peer_idx]);
   const bool detection_eligible = mode_ == Mode::kReplicating &&
                                   rc->conn != nullptr && !rc->local_closed &&
                                   !(local_closing && peer_closing) &&
@@ -660,13 +688,13 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
       m_app_lag_bytes_->set(static_cast<std::int64_t>(lag));
     }
     if (v_read.failed) {
-      convict_from_record(peer_idx, sim::cat("app read lag: ", v_read.reason),
-                          "app_failure_detected");
+      member_failed(peer_idx, sim::cat("app read lag: ", v_read.reason),
+                    "app_failure_detected");
       return;
     }
     if (v_written.failed) {
-      convict_from_record(peer_idx, sim::cat("app write lag: ", v_written.reason),
-                          "app_failure_detected");
+      member_failed(peer_idx, sim::cat("app write lag: ", v_written.reason),
+                    "app_failure_detected");
       return;
     }
   }
@@ -679,68 +707,132 @@ void StTcpEndpoint::process_record(const HbRecord& rec, int peer_idx) {
     const auto v_rx = rc->lag_received.update(rc->received(), rc->p_received, now);
     const auto v_ack = rc->lag_acked.update(rc->acked(), rc->p_acked, now);
     if (v_rx.failed || v_ack.failed) {
-      convict_from_record(peer_idx,
-                          sim::cat("NIC failure (client-byte comparison): ",
-                                   v_rx.failed ? v_rx.reason : v_ack.reason),
-                          "nic_failure_detected");
+      member_failed(peer_idx,
+                    sim::cat("NIC failure (client-byte comparison): ",
+                             v_rx.failed ? v_rx.reason : v_ack.reason),
+                    "nic_failure_detected");
       return;
     }
   }
 
-  // Backup: missed-byte recovery (§4.3 temporary failures).
+  // Follower: missed-byte recovery (§4.3 temporary failures).
   if (role_ == Role::kBackup) maybe_request_missed(*rc);
 }
 
 void StTcpEndpoint::detector_tick() {
-  if (group_mode()) {
-    group_detector_tick();
-    return;
+  if (!host_.alive()) return;
+  if (mode_ != Mode::kReplicating && mode_ != Mode::kReintegrating) return;
+  if (mode_ == Mode::kReplicating) gc_closed_conns();
+
+  // Table 1 row 1: HB failure on every channel => the member crashed. For a
+  // member without a shared RS-232 cable the IP channel is the only channel
+  // — peer_serial_alive() is constantly false there, so "both links dead"
+  // collapses to IP silence as intended. One conviction per tick; the next
+  // period re-evaluates.
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    const GroupPeer& p = peers_[i];
+    if (!view_.contains(p.member)) continue;
+    if (!peer_ip_alive(p) && !peer_serial_alive(p)) {
+      world_.trace().record(host_.name(), "hb_both_links_dead");
+      member_failed(i, "heartbeat failure on both links", "peer_dead");
+      return;
+    }
   }
-  if (!active()) return;
-  gc_closed_conns();
 
-  const bool ip_alive = ip_channel_alive();
-  const bool serial_alive = serial_channel_alive();
-
-  if (!ip_alive && !serial_alive) {
-    // Table 1 row 1: HB failure on both links => peer crashed.
-    world_.trace().record(host_.name(), "hb_both_links_dead");
-    peer_failed("heartbeat failure on both links", "peer_dead");
-    return;
+  // Table 1 row 4 territory: a live member is IP-silent while its serial
+  // beat still arrives — a local network failure somewhere. Start (or
+  // continue) gateway-ping arbitration; conviction happens here or in
+  // process_record via the byte-count comparison.
+  bool nic_window = false;
+  for (const GroupPeer& p : peers_) {
+    if (view_.contains(p.member) && !peer_ip_alive(p) && peer_serial_alive(p)) {
+      nic_window = true;
+    }
   }
-
-  if (!ip_alive && serial_alive) {
-    // Table 1 row 4 territory: local network failure somewhere. Start (or
-    // continue) gateway-ping arbitration; conviction happens here or in
-    // process_record via the byte-count comparison.
+  if (nic_window) {
     if (!ping_loop_active_) {
       ping_loop_active_ = true;
       world_.trace().record(host_.name(), "nic_arbitration_start");
       update_ping_loop();
     }
-    evaluate_nic_arbitration();
-  } else if (ping_loop_active_) {
-    ping_loop_active_ = false;
-    my_ping_valid_ = false;
-    peer_ping_fail_streak_ = 0;
-    ping_timer_.cancel();
+    for (std::size_t i = 0; i < peers_.size(); ++i) {
+      const GroupPeer& p = peers_[i];
+      if (!view_.contains(p.member) || peer_ip_alive(p) || !peer_serial_alive(p)) {
+        continue;
+      }
+      if (my_ping_valid_ && my_ping_ok_ &&
+          p.ping_fail_streak >= cfg_.ping_fail_threshold) {
+        member_failed(i,
+                      sim::cat("gateway ping arbitration: peer failed ",
+                               p.ping_fail_streak, " consecutive pings"),
+                      "nic_failure_detected");
+        return;
+      }
+    }
+  } else if (ping_loop_active_ && !ballot_.active) {
+    // Candidates keep the loop running — their win is gated on it.
+    stop_ping_loop();
+    for (GroupPeer& p : peers_) p.ping_fail_streak = 0;
   }
 
-  if (peer_app_suspect_) {
-    peer_failed("watchdog reported peer application failure", "watchdog_failure");
-    return;
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    if (view_.contains(peers_[i].member) && peers_[i].app_suspect) {
+      member_failed(i, "watchdog reported peer application failure",
+                    "watchdog_failure");
+      return;
+    }
   }
 
-  // Grey-failure conviction: progress-counter stagnation (lag.h
-  // ProgressWatch). Only meaningful while heartbeats still arrive — silence
-  // is the classic detector's jurisdiction — and only evaluated by the
-  // backup: a stalled PRIMARY freezes both sides' counters at the same
-  // value, so the relative lag trackers above never trip, while a stalled
-  // backup is already caught by the primary's write-lag tracker. Gating the
-  // absolute criterion to one role also means a grey host can never convict
-  // its healthy peer with it (the healthy primary's counters freeze only
-  // when the client stops acknowledging — which the demand test requires).
-  if (role_ == Role::kBackup && ip_alive) {
+  if (mode_ != Mode::kReplicating) return;
+  if (view_.is_leader(my_member())) {
+    for (auto& [id, rc] : conns_) {
+      if (rc->conn == nullptr || rc->local_closed) continue;
+      // A connection a member never started replicating within the grace
+      // period means its application is not accepting (e.g. it crashed
+      // between connections). The baseline restarts when the member
+      // (re)joined the tracking, not just when the connection opened.
+      for (std::size_t i = 0; i < peers_.size(); ++i) {
+        if (!view_.contains(peers_[i].member)) continue;
+        const ReplConn::PeerProgress& g = rc->gp[i];
+        const sim::SimTime base = std::max(rc->registered_at, g.since);
+        if (!g.valid && world_.now() - base > cfg_.replica_setup_grace) {
+          member_failed(i, sim::cat("peer never replicated connection ", rc->tuple.str()),
+                        "app_failure_detected");
+          return;
+        }
+      }
+      // Deferred hold-buffer overflow (set from the rx tap): the buffer is
+      // pinned by the slowest live member, so convict it.
+      if (rc->hold.overflowed()) {
+        int slow = -1;
+        std::uint64_t slow_rx = 0;
+        for (std::size_t i = 0; i < peers_.size(); ++i) {
+          if (!view_.contains(peers_[i].member)) continue;
+          const std::uint64_t rx = rc->gp[i].valid ? rc->gp[i].received : 0;
+          if (slow < 0 || rx < slow_rx) {
+            slow = static_cast<int>(i);
+            slow_rx = rx;
+          }
+        }
+        if (slow >= 0) {
+          member_failed(static_cast<std::size_t>(slow),
+                        "hold buffer overflow: backup cannot catch up", "hold_overflow");
+          return;
+        }
+      }
+    }
+  } else if (GroupPeer* lp = peer_by_member(view_.leader());
+             lp != nullptr && peer_ip_alive(*lp)) {
+    // Grey-failure conviction: progress-counter stagnation (lag.h
+    // ProgressWatch). Only meaningful while heartbeats still arrive —
+    // silence is the classic detector's jurisdiction — and only evaluated by
+    // followers: a stalled LEADER freezes every member's counters at the
+    // same value, so the relative lag trackers never trip, while a stalled
+    // follower is already caught by the leader's write-lag tracker. Gating
+    // the absolute criterion to followers also means a grey host can never
+    // convict its healthy leader with it (the healthy leader's counters
+    // freeze only when the client stops acknowledging — which the demand
+    // test requires).
     const sim::SimTime now = world_.now();
     for (auto& [id, rc] : conns_) {
       if (!rc->progress.enabled()) break;  // same config for every conn
@@ -749,36 +841,22 @@ void StTcpEndpoint::detector_tick() {
       if (rc->conn->fin_generated() || rc->conn->rst_generated()) continue;
       if (now - rc->registered_at <= cfg_.replica_setup_grace) continue;
       // Demand: this replica holds bytes the client has not acknowledged —
-      // if the primary were healthy, SOME counter would be moving.
+      // if the leader were healthy, SOME counter would be moving.
       const bool demand = rc->written() > rc->acked();
       const auto v = rc->progress.check(demand, now);
       if (v.failed) {
         if (timeline_ != nullptr) {
           timeline_->mark(obs::Milestone::kProgressStall, now);
         }
-        peer_failed(sim::cat("progress stall on ", rc->tuple.str(), ": ", v.reason),
-                    "progress_stall_detected");
+        member_failed(static_cast<std::size_t>(lp - peers_.data()),
+                      sim::cat("progress stall on ", rc->tuple.str(), ": ", v.reason),
+                      "progress_stall_detected");
         return;
       }
     }
   }
 
-  // A connection the peer never started replicating within the grace period
-  // means the peer application is not accepting (e.g. it crashed between
-  // connections).
-  for (auto& [id, rc] : conns_) {
-    if (!rc->peer_valid && rc->conn != nullptr && !rc->local_closed &&
-        world_.now() - rc->registered_at > cfg_.replica_setup_grace) {
-      peer_failed(sim::cat("peer never replicated connection ", rc->tuple.str()),
-                  "app_failure_detected");
-      return;
-    }
-    // Deferred hold-buffer overflow (set from the rx tap).
-    if (rc->hold.overflowed()) {
-      peer_failed("hold buffer overflow: backup cannot catch up", "hold_overflow");
-      return;
-    }
-  }
+  if (awaiting_leader_) evaluate_promotion();
 }
 
 // ---------------------------------------------------------------------------
@@ -794,7 +872,10 @@ void StTcpEndpoint::on_accepted(tcp::TcpConnection& conn) {
       conn.tuple().local.port != cfg_.service_port) {
     return;  // not the replicated service
   }
-  if (role_ == Role::kPrimary) {
+  // A promoted leader's replicas finish their handshakes as ordinary
+  // accepts; they are tracked already.
+  const ReplConn* known = by_tuple(conn.tuple());
+  if (role_ == Role::kPrimary && (known == nullptr || known->conn != &conn)) {
     register_primary_conn(conn);
   }
   // Backup replicas are registered in create_replica_from(); nothing here.
@@ -838,14 +919,13 @@ std::uint16_t StTcpEndpoint::alloc_inferred_id() {
 
 void StTcpEndpoint::register_primary_conn(tcp::TcpConnection& conn) {
   const std::uint16_t id = alloc_primary_id();
-  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_);
+  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_, peers_.size(), world_.now());
   rc->id = id;
   rc->tuple = conn.tuple();
   rc->conn = &conn;
   rc->registered_at = world_.now();
   conns_.emplace(id, std::move(rc));
   id_by_tuple_[conn.tuple()] = id;
-  if (group_mode()) ensure_group_progress(*conns_[id]);
 
   install_primary_seams(conn, id);
 
@@ -918,7 +998,7 @@ void StTcpEndpoint::create_replica_from(const HbRecord& rec) {
     }
   }
 
-  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_);
+  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_, peers_.size(), world_.now());
   rc->id = rec.repl_id;
   rc->tuple = tuple;
   rc->registered_at = world_.now();
@@ -938,6 +1018,29 @@ void StTcpEndpoint::create_replica_from(const HbRecord& rec) {
   // periodic beat (which may be a rotating window under high connection
   // counts — the grace timer must not race the rotation).
   send_event_heartbeat(rec.repl_id);
+}
+
+void StTcpEndpoint::raise_id_cursors() {
+  for (const auto& [id, rc] : conns_) {
+    std::uint16_t& next = id < 0x8000 ? next_id_ : next_inferred_id_;
+    next = std::max<std::uint16_t>(next, static_cast<std::uint16_t>(id + 1));
+  }
+}
+
+void StTcpEndpoint::renumber_inferred_conns() {
+  raise_id_cursors();
+  std::vector<std::uint16_t> inferred;
+  for (const auto& [id, rc] : conns_) {
+    if (id >= 0x8000 && rc->conn != nullptr) inferred.push_back(id);
+  }
+  for (const std::uint16_t old_id : inferred) {
+    auto node = conns_.extract(old_id);
+    const std::uint16_t id = alloc_primary_id();
+    node.key() = id;
+    node.mapped()->id = id;
+    id_by_tuple_[node.mapped()->tuple] = id;
+    conns_.insert(std::move(node));
+  }
 }
 
 tcp::SeqWire StTcpEndpoint::service_isn(const tcp::FourTuple& t) const {
@@ -977,7 +1080,7 @@ void StTcpEndpoint::create_replica_inferred(const tcp::FourTuple& tuple,
     world_.trace().record(host_.name(), "replica_displaced_stale", tuple.str());
   }
   const std::uint16_t id = alloc_inferred_id();
-  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_);
+  auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_, peers_.size(), world_.now());
   rc->id = id;
   rc->tuple = tuple;
   rc->registered_at = world_.now();
@@ -1011,12 +1114,11 @@ bool StTcpEndpoint::close_gate(std::uint16_t id, bool is_rst) {
   // received a FIN from the client."
   if (rc->conn->peer_half_closed()) return true;
 
-  // Agreement: the peer generated one too => normal closure. A group leader
+  // Agreement: the peer generated one too => normal closure. A leader
   // needs EVERY live member to have produced the FIN/RST — one healthy
   // member's silence keeps the arbitration open.
-  const bool agreed = group_mode() && role_ == Role::kPrimary
-                          ? group_fins_agree(*rc)
-                          : (rc->p_fin || rc->p_rst);
+  const bool agreed =
+      role_ == Role::kPrimary ? fins_agree(*rc) : (rc->p_fin || rc->p_rst);
   if (agreed) {
     ++stats_.fin_agreed;
     world_.trace().record(host_.name(), "fin_agreed", rc->tuple.str());
@@ -1030,9 +1132,10 @@ bool StTcpEndpoint::close_gate(std::uint16_t id, bool is_rst) {
     ++stats_.fin_delayed;
     world_.trace().record(host_.name(), is_rst ? "rst_delayed" : "fin_delayed",
                           rc->tuple.str());
-    rc->fin_delay_timer.arm(cfg_.max_delay_fin, [this, id] {
-      ReplConn* r = by_id(id);
-      if (r == nullptr || r->conn == nullptr) return;
+    // The timer lives in the record, so the record outlives every firing;
+    // capturing it (not the id) survives a renumbering.
+    rc->fin_delay_timer.arm(cfg_.max_delay_fin, [this, r = rc] {
+      if (r->conn == nullptr) return;
       // MaxDelayFIN expired with no failure detected: trust our own close
       // as the correct behaviour and send the FIN to the client.
       world_.trace().record(host_.name(), "fin_released_after_delay",
@@ -1066,29 +1169,20 @@ void StTcpEndpoint::on_peer_fin_notice(ReplConn& rc) {
   // means the primary will send its FIN — nothing for us to do.
   if (!rc.conn->fin_generated() && !rc.conn->rst_generated() &&
       !rc.peer_fin_timer.armed()) {
-    const std::uint16_t id = rc.id;
     world_.trace().record(host_.name(), "peer_fin_disagreement", rc.tuple.str());
-    rc.peer_fin_timer.arm(cfg_.max_delay_fin, [this, id] {
+    rc.peer_fin_timer.arm(cfg_.max_delay_fin, [this, r = &rc] {
       if (!active()) return;
-      ReplConn* r = by_id(id);
-      if (r == nullptr || r->conn == nullptr) return;
+      if (r->conn == nullptr) return;
       if (r->conn->fin_generated() || r->conn->rst_generated()) return;  // agreed since
       if (role_ == Role::kPrimary) {
-        if (group_mode()) {
-          // Convict the member whose lone FIN/RST started the disagreement.
-          for (std::size_t i = 0; i < peers_.size(); ++i) {
-            if (!view_.contains(peers_[i].member)) continue;
-            if (i < r->gp.size() && (r->gp[i].fin || r->gp[i].rst)) {
-              member_failed(i,
-                            "member generated FIN/RST with no local counterpart",
-                            "fin_disagreement");
-              return;
-            }
+        // Convict the member whose lone FIN/RST started the disagreement.
+        for (std::size_t i = 0; i < peers_.size(); ++i) {
+          if (view_.contains(peers_[i].member) && (r->gp[i].fin || r->gp[i].rst)) {
+            member_failed(i, "backup generated FIN/RST with no local counterpart",
+                          "fin_disagreement");
+            return;
           }
-          return;
         }
-        peer_failed("backup generated FIN/RST with no local counterpart",
-                    "fin_disagreement");
       } else {
         world_.trace().record(host_.name(), "fin_disagreement_expired",
                               r->tuple.str());
@@ -1114,13 +1208,10 @@ void StTcpEndpoint::update_ping_loop() {
   ping_timer_.arm(cfg_.ping_interval, [this] { update_ping_loop(); });
 }
 
-void StTcpEndpoint::evaluate_nic_arbitration() {
-  if (my_ping_valid_ && my_ping_ok_ &&
-      peer_ping_fail_streak_ >= cfg_.ping_fail_threshold) {
-    peer_failed(sim::cat("gateway ping arbitration: peer failed ",
-                         peer_ping_fail_streak_, " consecutive pings"),
-                "nic_failure_detected");
-  }
+void StTcpEndpoint::stop_ping_loop() {
+  ping_loop_active_ = false;
+  my_ping_valid_ = false;
+  ping_timer_.cancel();
 }
 
 // ---------------------------------------------------------------------------
@@ -1131,7 +1222,7 @@ void StTcpEndpoint::maybe_request_missed(ReplConn& rc) {
   if (rc.conn == nullptr) return;
   // Only the leader holds the bytes; a fenced-out or leaderless view has no
   // one to ask (the promotion settles first).
-  const net::Ipv4Addr dst = group_mode() ? group_leader_ip() : cfg_.peer_ip;
+  const net::Ipv4Addr dst = group_leader_ip();
   if (dst.is_zero()) return;
   const std::uint64_t mine = rc.conn->bytes_received();
   if (rc.p_received <= mine) return;
@@ -1155,17 +1246,19 @@ void StTcpEndpoint::maybe_request_missed(ReplConn& rc) {
 
 void StTcpEndpoint::on_control_datagram(net::Ipv4Addr src, net::BytesView payload) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
-  if (src == cfg_.peer_ip || peer_index_by_ip(src) >= 0) {
+  if (const int pi = peer_index_by_ip(src); pi >= 0) {
     // Snapshot-transfer datagrams (reintegration) are routed before
     // ControlMsg::parse, which only understands the recovery messages.
     if (!payload.empty() &&
         payload[0] >= static_cast<std::uint8_t>(ControlType::kSnapshotBegin) &&
         payload[0] <= static_cast<std::uint8_t>(ControlType::kRejoinCommit)) {
-      reintegrator_->on_control(payload);
+      reintegrator_->on_control(payload, peers_[static_cast<std::size_t>(pi)].member);
       return;
     }
     auto msg = ControlMsg::parse(payload);
-    if (!msg.has_value()) {
+    if (!msg.has_value() ||
+        (msg->type == ControlType::kViewAnnounce &&
+         !GroupView::valid_order(msg->view_announce.order, cfg_.group.size()))) {
       ++stats_.control_malformed;
       return;
     }
@@ -1263,58 +1356,6 @@ void StTcpEndpoint::apply_missed(const MissedBytesReply& rep) {
 // Failure reactions
 // ---------------------------------------------------------------------------
 
-void StTcpEndpoint::peer_failed(const std::string& reason, const char* trace_event) {
-  if (!active()) return;
-  if (timeline_ != nullptr) {
-    timeline_->mark(obs::Milestone::kChannelDead, world_.now());
-    timeline_->set_conviction(trace_event, app_lag_peak_bytes_);
-  }
-  if (auto* reg = world_.metrics()) {
-    // One counter per conviction criterion: the grey bench sums these to
-    // prove convictions came from progress counters, not heartbeat silence.
-    reg->counter("sttcp." + host_.name() + ".conviction." + trace_event).inc();
-  }
-  world_.trace().record(host_.name(), trace_event, reason);
-  // Uniform marker (detail = the criterion event): the grey invariant check
-  // counts convictions without enumerating every criterion name.
-  world_.trace().record(host_.name(), "peer_convicted", trace_event);
-  log_.warn("peer declared failed: ", reason);
-  if (role_ == Role::kBackup) {
-    takeover(reason);
-  } else {
-    stonith_peer();
-    go_non_ft(reason);
-  }
-}
-
-void StTcpEndpoint::takeover(const std::string& reason) {
-  ++stats_.takeovers;
-  mode_ = Mode::kTakenOver;
-  // Power the primary down BEFORE assuming the connection — no dual-active.
-  stonith_peer();
-  stack_.set_replica_mode(false);
-  // Promote the decision log BEFORE unsuppressing: the app's promote hook
-  // drains the replayed backlog, and any response it releases must see the
-  // log already in standalone-record mode.
-  if (decision_log_ != nullptr) decision_log_->promote();
-  for (auto& [id, rc] : conns_) {
-    if (rc->conn != nullptr) {
-      rc->conn->on_takeover(cfg_.immediate_retransmit_on_takeover);
-    }
-  }
-  hb_timer_.stop();
-  ping_timer_.cancel();
-  if (timeline_ != nullptr) timeline_->mark(obs::Milestone::kTakeover, world_.now());
-  world_.trace().record(host_.name(), "takeover", reason);
-  log_.warn("TOOK OVER as active server: ", reason);
-  // Output-commit fallback: any receive gap whose bytes the dead primary
-  // already acknowledged can only be filled by the stream logger now.
-  if (!cfg_.logger_ip.is_zero()) {
-    logger_attempts_ = 0;
-    logger_recovery_tick();
-  }
-}
-
 void StTcpEndpoint::logger_recovery_tick() {
   if (!host_.alive()) return;
   bool any_gap = false;
@@ -1371,16 +1412,8 @@ void StTcpEndpoint::go_non_ft(const std::string& reason) {
   log_.warn("running NON-FAULT-TOLERANT: ", reason);
 }
 
-void StTcpEndpoint::stonith_peer() {
-  if (timeline_ != nullptr) timeline_->mark(obs::Milestone::kStonith, world_.now());
-  world_.trace().record(host_.name(), "stonith", cfg_.peer_name);
-  if (!power_.power_off(cfg_.peer_name)) {
-    log_.warn("STONITH of ", cfg_.peer_name, " failed (power controller)");
-  }
-}
-
 // ---------------------------------------------------------------------------
-// 1+N groups (group.h, docs/GROUPS.md)
+// Replication roster (group.h, docs/GROUPS.md)
 // ---------------------------------------------------------------------------
 
 StTcpEndpoint::GroupPeer* StTcpEndpoint::peer_by_member(std::uint8_t m) {
@@ -1410,12 +1443,13 @@ bool StTcpEndpoint::peer_serial_alive(const GroupPeer& p) const {
   return world_.now() - p.last_rx_serial <= deadline;
 }
 
-void StTcpEndpoint::ensure_group_progress(ReplConn& rc) {
-  while (rc.gp.size() < peers_.size()) {
-    ReplConn::PeerProgress g;
-    g.since = world_.now();
-    rc.gp.push_back(g);
-  }
+bool StTcpEndpoint::serial_arbitrates() const {
+  return std::all_of(peers_.begin(), peers_.end(),
+                     [](const GroupPeer& p) { return p.has_serial; });
+}
+
+void StTcpEndpoint::group_trace(const char* event, const std::string& detail) {
+  if (view_on_wire()) world_.trace().record(host_.name(), event, detail);
 }
 
 void StTcpEndpoint::update_group_gauges() {
@@ -1428,251 +1462,25 @@ net::Ipv4Addr StTcpEndpoint::group_leader_ip() const {
   return cfg_.group[view_.leader()].ip;
 }
 
-bool StTcpEndpoint::group_fins_agree(const ReplConn& rc) const {
-  std::size_t live = 0;
+std::size_t StTcpEndpoint::live_followers(int except) const {
+  std::size_t n = 0;
+  for (const std::uint8_t m : view_.order) {
+    if (m != my_member() && static_cast<int>(m) != except) ++n;
+  }
+  return n;
+}
+
+bool StTcpEndpoint::fins_agree(const ReplConn& rc) const {
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     if (!view_.contains(peers_[i].member)) continue;
-    ++live;
-    if (i >= rc.gp.size()) return false;
     if (!rc.gp[i].valid || !(rc.gp[i].fin || rc.gp[i].rst)) return false;
   }
-  return live > 0;
-}
-
-void StTcpEndpoint::on_group_heartbeat(const HeartbeatMsg& msg, bool via_serial) {
-  if (!msg.group_valid || msg.member == my_member()) return;
-  GroupPeer* p = peer_by_member(msg.member);
-  if (p == nullptr) return;
-  const int pi = static_cast<int>(p - peers_.data());
-
-  // Rejoin solicitations: the group leader serves them while replicating; a
-  // survivor that fell out of replication (last one standing) serves them
-  // like the classic pair.
-  if (msg.rejoin_request &&
-      (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant ||
-       mode_ == Mode::kReintegrating ||
-       (mode_ == Mode::kReplicating && view_.is_leader(my_member())))) {
-    reintegrator_->on_rejoin_request(msg.rejoin_epoch, msg.member);
-  }
-
-  if (via_serial) {
-    if (m_hb_gap_serial_us_ != nullptr) {
-      m_hb_gap_serial_us_->record(
-          static_cast<std::uint64_t>((world_.now() - p->last_rx_serial).us()));
-    }
-    p->last_rx_serial = world_.now();
-    last_rx_serial_ = world_.now();
-    ++stats_.hb_received_serial;
-  } else {
-    if (m_hb_gap_ip_us_ != nullptr) {
-      m_hb_gap_ip_us_->record(
-          static_cast<std::uint64_t>((world_.now() - p->last_rx_ip).us()));
-    }
-    p->last_rx_ip = world_.now();
-    last_rx_ip_ = world_.now();
-    ++stats_.hb_received_ip;
-  }
-  if (timeline_ != nullptr) timeline_->heartbeat_seen(world_.now());
-
-  // Per-peer bounded-reorder guard (see the pair path in on_heartbeat).
-  const auto seq_delta = static_cast<std::int32_t>(msg.hb_seq - p->last_hb_seq);
-  if (p->seen_hb && seq_delta < 0 && seq_delta > -4096) {
-    ++stats_.hb_stale;
-    return;
-  }
-  p->seen_hb = true;
-  p->last_hb_seq = msg.hb_seq;
-
-  // Conviction revert: we convicted this member, yet here it is — alive and
-  // claiming leadership with a view at least as new as ours. The conviction
-  // was wrong (a grey channel, not a dead host); reinstate it before its
-  // queued STONITH can ever fire.
-  if (awaiting_leader_ && !view_.contains(msg.member) &&
-      !msg.view_order.empty() && msg.view_order.front() == msg.member &&
-      msg.view_epoch >= view_.epoch) {
-    view_.order.insert(view_.order.begin(), msg.member);
-    stonith_pending_.erase(
-        std::remove(stonith_pending_.begin(), stonith_pending_.end(), msg.member),
-        stonith_pending_.end());
-    awaiting_leader_ = false;
-    ballot_.reset();
-    promote_timer_.cancel();
-    world_.trace().record(host_.name(), "conviction_reverted", p->name);
-  }
-
-  maybe_adopt_view(msg.view_epoch, msg.view_order);  // may fence us into rejoin
-
-  if (msg.rejoin_ready &&
-      (mode_ == Mode::kReintegrating ||
-       (mode_ == Mode::kReplicating && view_.is_leader(my_member())))) {
-    reintegrator_->on_rejoin_ready(msg.rejoin_epoch, msg.member);
-  }
-  if (!replicating_or_reintegrating()) return;
-
-  if (msg.ping_valid) {
-    p->ping_fail_streak = msg.ping_ok ? 0 : p->ping_fail_streak + 1;
-  }
-  if (msg.app_suspect && mode_ == Mode::kReplicating && view_.contains(msg.member)) {
-    p->app_suspect = true;
-  }
-
-  if (mode_ == Mode::kRejoining && !reintegrator_->snapshot_applied()) return;
-
-  // Records count only on the leader<->backup axis: a backup hears another
-  // backup's heartbeats for liveness and promotion, not for replication.
-  const bool process_records = view_.is_leader(my_member()) ||
-                               view_.is_leader(msg.member) ||
-                               mode_ == Mode::kRejoining;
-  if (!process_records) return;
-  for (const HbRecord& rec : msg.records) {
-    if (!replicating_or_reintegrating()) break;
-    process_record(rec, pi);
-  }
-}
-
-void StTcpEndpoint::group_detector_tick() {
-  if (!host_.alive()) return;
-  if (mode_ != Mode::kReplicating && mode_ != Mode::kReintegrating) return;
-  if (mode_ == Mode::kReplicating) gc_closed_conns();
-
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    GroupPeer& p = peers_[i];
-    if (!view_.contains(p.member)) continue;
-    // For a pairing without a shared RS-232 cable the IP channel is the only
-    // channel — peer_serial_alive() is constantly false there, so the
-    // classic "both links dead" collapses to IP silence as intended.
-    if (!peer_ip_alive(p) && !peer_serial_alive(p)) {
-      world_.trace().record(host_.name(), "hb_both_links_dead", p.name);
-      member_failed(i, sim::cat("heartbeat failure on all channels to ", p.name),
-                    "peer_dead");
-      return;  // one conviction per tick; the next period re-evaluates
-    }
-    if (p.app_suspect) {
-      member_failed(i, sim::cat("watchdog reported application failure on ", p.name),
-                    "watchdog_failure");
-      return;
-    }
-  }
-
-  // Gateway-ping arbitration window: a live member is IP-silent while its
-  // serial beat still arrives (Table 1 row 4, lifted to the group).
-  bool nic_window = false;
-  for (const GroupPeer& p : peers_) {
-    if (!view_.contains(p.member)) continue;
-    if (!peer_ip_alive(p) && peer_serial_alive(p)) {
-      nic_window = true;
-      break;
-    }
-  }
-  if (nic_window) {
-    if (!ping_loop_active_) {
-      ping_loop_active_ = true;
-      world_.trace().record(host_.name(), "nic_arbitration_start");
-      update_ping_loop();
-    }
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-      GroupPeer& p = peers_[i];
-      if (!view_.contains(p.member)) continue;
-      if (!peer_ip_alive(p) && peer_serial_alive(p) && my_ping_valid_ &&
-          my_ping_ok_ && p.ping_fail_streak >= cfg_.ping_fail_threshold) {
-        member_failed(i,
-                      sim::cat("gateway ping arbitration: ", p.name, " failed ",
-                               p.ping_fail_streak, " consecutive pings"),
-                      "nic_failure_detected");
-        return;
-      }
-    }
-  } else if (ping_loop_active_ && !ballot_.active) {
-    // Candidates keep the loop running — their win is gated on it.
-    ping_loop_active_ = false;
-    my_ping_valid_ = false;
-    ping_timer_.cancel();
-  }
-
-  if (mode_ != Mode::kReplicating) return;
-  const bool leader = view_.is_leader(my_member());
-
-  if (leader) {
-    for (auto& [id, rc] : conns_) {
-      if (rc->conn == nullptr || rc->local_closed) continue;
-      ensure_group_progress(*rc);
-      // Never-replicated grace, per member: the baseline restarts when the
-      // member (re)joined the tracking, not just when the connection opened.
-      for (std::size_t i = 0; i < peers_.size(); ++i) {
-        if (!view_.contains(peers_[i].member)) continue;
-        const auto& g = rc->gp[i];
-        const sim::SimTime base =
-            g.since < rc->registered_at ? rc->registered_at : g.since;
-        if (!g.valid && world_.now() - base > cfg_.replica_setup_grace) {
-          member_failed(i,
-                        sim::cat("member ", peers_[i].name,
-                                 " never replicated connection ", rc->tuple.str()),
-                        "app_failure_detected");
-          return;
-        }
-      }
-      if (rc->hold.overflowed()) {
-        // The buffer is pinned by the slowest live member: convict it.
-        int slow = -1;
-        std::uint64_t slow_rx = 0;
-        for (std::size_t i = 0; i < peers_.size(); ++i) {
-          if (!view_.contains(peers_[i].member)) continue;
-          const std::uint64_t rx = rc->gp[i].valid ? rc->gp[i].received : 0;
-          if (slow < 0 || rx < slow_rx) {
-            slow = static_cast<int>(i);
-            slow_rx = rx;
-          }
-        }
-        if (slow >= 0) {
-          member_failed(static_cast<std::size_t>(slow),
-                        "hold buffer overflow: slowest member cannot catch up",
-                        "hold_overflow");
-          return;
-        }
-      }
-    }
-  } else {
-    // Backup: grey-failure progress stall against the leader (the same
-    // criterion and gating as the pair path in detector_tick).
-    const sim::SimTime now = world_.now();
-    for (auto& [id, rc] : conns_) {
-      if (!rc->progress.enabled()) break;  // same config for every conn
-      if (rc->conn == nullptr || rc->local_closed || !rc->peer_valid) continue;
-      if (rc->p_fin || rc->p_rst || rc->p_closed) continue;
-      if (rc->conn->fin_generated() || rc->conn->rst_generated()) continue;
-      if (now - rc->registered_at <= cfg_.replica_setup_grace) continue;
-      const bool demand = rc->written() > rc->acked();
-      const auto v = rc->progress.check(demand, now);
-      if (v.failed) {
-        if (timeline_ != nullptr) {
-          timeline_->mark(obs::Milestone::kProgressStall, now);
-        }
-        GroupPeer* lp = peer_by_member(view_.leader());
-        if (lp != nullptr) {
-          member_failed(static_cast<std::size_t>(lp - peers_.data()),
-                        sim::cat("progress stall on ", rc->tuple.str(), ": ",
-                                 v.reason),
-                        "progress_stall_detected");
-        }
-        return;
-      }
-    }
-  }
-
-  if (awaiting_leader_ && mode_ == Mode::kReplicating) evaluate_promotion();
-}
-
-void StTcpEndpoint::convict_from_record(int peer_idx, const std::string& reason,
-                                        const char* trace_event) {
-  if (group_mode() && peer_idx >= 0) {
-    member_failed(static_cast<std::size_t>(peer_idx), reason, trace_event);
-  } else {
-    peer_failed(reason, trace_event);
-  }
+  return true;
 }
 
 void StTcpEndpoint::member_failed(std::size_t peer_idx, const std::string& reason,
                                   const char* trace_event) {
+  if (!host_.alive()) return;
   if (mode_ != Mode::kReplicating && mode_ != Mode::kReintegrating) return;
   if (peer_idx >= peers_.size()) return;
   GroupPeer& p = peers_[peer_idx];
@@ -1680,16 +1488,21 @@ void StTcpEndpoint::member_failed(std::size_t peer_idx, const std::string& reaso
 
   if (timeline_ != nullptr) {
     timeline_->mark(obs::Milestone::kChannelDead, world_.now());
-    timeline_->set_conviction(trace_event, app_lag_peak_bytes_, p.name);
+    timeline_->set_conviction(trace_event, app_lag_peak_bytes_,
+                              view_on_wire() ? p.name : std::string());
   }
   if (auto* reg = world_.metrics()) {
+    // One counter per conviction criterion: the grey bench sums these to
+    // prove convictions came from progress counters, not heartbeat silence.
     const std::string prefix = "sttcp." + host_.name();
     reg->counter(prefix + ".conviction." + trace_event).inc();
-    reg->counter(prefix + ".convicted_member." + p.name).inc();
+    if (view_on_wire()) reg->counter(prefix + ".convicted_member." + p.name).inc();
   }
   world_.trace().record(host_.name(), trace_event, reason);
+  // Uniform marker (detail = the criterion event): the grey invariant check
+  // counts convictions without enumerating every criterion name.
   world_.trace().record(host_.name(), "peer_convicted", trace_event);
-  world_.trace().record(host_.name(), "member_convicted", p.name);
+  group_trace("member_convicted", p.name);
   log_.warn("member ", p.name, " declared failed: ", reason);
 
   // "Leader" here means the ESTABLISHED leader, not a front-of-view member
@@ -1705,38 +1518,41 @@ void StTcpEndpoint::member_failed(std::size_t peer_idx, const std::string& reaso
   }
 
   if (i_was_leader) {
-    // The leader convicts a backup: STONITH and fence it out immediately —
+    // The leader convicts a follower: STONITH and fence it out immediately —
     // bump the epoch, announce the shrunk view, keep replicating with the
-    // remaining members (or continue alone, non-fault-tolerant).
+    // remaining members, or continue alone, non-fault-tolerant.
     flush_stonith_pending();
     ++view_.epoch;
     ++stats_.view_changes;
     announce_view();
     update_group_gauges();
     for (auto& [id, rc] : conns_) {
-      if (peer_idx < rc->gp.size()) {
-        rc->gp[peer_idx] = ReplConn::PeerProgress{};
-        rc->gp[peer_idx].since = world_.now();
-      }
+      rc->gp[peer_idx] = ReplConn::PeerProgress{};
+      rc->gp[peer_idx].since = world_.now();
     }
+    refresh_decision_ack();
+    sync_decision_log();  // a reintegrating leader may be down to its rejoiner
     if (view_.order.size() <= 1 && mode_ == Mode::kReplicating) {
       go_non_ft(reason);
     }
     return;
   }
 
-  // A backup convicted a member. If the leader is now gone (this conviction
-  // or an earlier one), run the ranked-promotion protocol; a conviction of a
-  // fellow backup merely shrinks the local view (the leader's next announce
-  // is authoritative either way).
-  if (victim_was_leader) awaiting_leader_ = true;
+  // A follower convicted a member. If the leader is now gone (this
+  // conviction or an earlier one), run the ranked-promotion protocol; a
+  // conviction of a fellow follower merely shrinks the local view (the
+  // leader's next announce is authoritative either way).
+  if (victim_was_leader) {
+    awaiting_leader_ = true;
+    promotion_reason_ = reason;
+  }
   if (ballot_.active) ballot_.reset();  // voter set changed; recompute
   update_group_gauges();
   if (awaiting_leader_ && mode_ == Mode::kReplicating) evaluate_promotion();
 }
 
 void StTcpEndpoint::evaluate_promotion() {
-  if (!group_mode() || mode_ != Mode::kReplicating || !awaiting_leader_) return;
+  if (mode_ != Mode::kReplicating || !awaiting_leader_) return;
   if (view_.order.empty()) return;
   if (view_.is_leader(my_member())) {
     become_candidate();
@@ -1745,10 +1561,9 @@ void StTcpEndpoint::evaluate_promotion() {
   // A lower-ranked member should win. Defer, bounded: a dead candidate must
   // not stall the group forever.
   if (!promote_timer_.armed()) {
-    world_.trace().record(host_.name(), "promote_defer",
-                          sim::cat("rank ", view_.rank_of(my_member()),
-                                   " defers to member ",
-                                   static_cast<int>(view_.leader())));
+    group_trace("promote_defer", sim::cat("rank ", view_.rank_of(my_member()),
+                                          " defers to member ",
+                                          static_cast<int>(view_.leader())));
     promote_timer_.arm(cfg_.promote_defer, [this] { on_defer_expired(); });
   }
 }
@@ -1791,11 +1606,12 @@ void StTcpEndpoint::become_candidate() {
     for (const std::uint8_t m : view_.order) {
       if (m != my_member()) ballot_.voters.push_back(m);
     }
-    world_.trace().record(host_.name(), "promote_candidate", view_.str());
+    group_trace("promote_candidate", view_.str());
   }
   // Gateway reachability is part of the win condition (quorum-over-IP): a
   // candidate whose own NIC is the real fault must not take the service.
-  if (!ping_loop_active_) {
+  // The pair's RS-232 cable already arbitrated that, so it skips the gate.
+  if (!serial_arbitrates() && !ping_loop_active_) {
     ping_loop_active_ = true;
     update_ping_loop();
   }
@@ -1809,12 +1625,14 @@ void StTcpEndpoint::become_candidate() {
     host_.udp_send(cfg_.my_ip, cfg_.control_port, p->ip, cfg_.control_port,
                    pr.serialize());
   }
+  try_win_promotion();
   // Requests and acks ride lossy UDP: keep soliciting until the ballot
   // completes or the view changes under us.
-  promote_timer_.arm(cfg_.promote_retry, [this] {
-    if (awaiting_leader_ && mode_ == Mode::kReplicating) become_candidate();
-  });
-  try_win_promotion();
+  if (awaiting_leader_ && mode_ == Mode::kReplicating) {
+    promote_timer_.arm(cfg_.promote_retry, [this] {
+      if (awaiting_leader_ && mode_ == Mode::kReplicating) become_candidate();
+    });
+  }
 }
 
 void StTcpEndpoint::try_win_promotion() {
@@ -1824,11 +1642,13 @@ void StTcpEndpoint::try_win_promotion() {
   }
   // Unanimity over the live voter set (vacuous after a double failure left
   // us alone). Last gate: our own gateway reachability — the IP network
-  // standing in as the arbiter the 2-host serial cable used to be.
-  if (!my_ping_valid_) return;  // ping in flight; its callback re-checks
-  if (!my_ping_ok_) {
-    world_.trace().record(host_.name(), "promotion_blocked_gateway");
-    return;
+  // standing in as the arbiter the pair's serial cable used to be.
+  if (!serial_arbitrates()) {
+    if (!my_ping_valid_) return;  // ping in flight; its callback re-checks
+    if (!my_ping_ok_) {
+      world_.trace().record(host_.name(), "promotion_blocked_gateway");
+      return;
+    }
   }
   win_promotion();
 }
@@ -1837,12 +1657,11 @@ void StTcpEndpoint::win_promotion() {
   promote_timer_.cancel();
   ballot_.reset();
   awaiting_leader_ = false;
-  ping_loop_active_ = false;
-  my_ping_valid_ = false;
-  ping_timer_.cancel();
 
   ++stats_.takeovers;
   ++stats_.promotions;
+  const bool followers = live_followers() > 0;
+  if (!followers) mode_ = Mode::kTakenOver;
   // STONITH every convicted member BEFORE any replica is unsuppressed: even
   // a mis-convicted, actually-live leader is powered off before this node
   // can emit a single segment with the service identity (dual-active guard).
@@ -1851,30 +1670,41 @@ void StTcpEndpoint::win_promotion() {
   ++stats_.view_changes;
   view_.remove(my_member());
   view_.order.insert(view_.order.begin(), my_member());
-  role_ = Role::kPrimary;
-  if (timeline_ != nullptr) {
-    timeline_->mark(obs::Milestone::kTakeover, world_.now());
-    timeline_->set_promotion(host_.name(), my_member(), view_.epoch);
-  }
-  world_.trace().record(host_.name(), "takeover",
-                        sim::cat("promoted to leader: ", view_.str()));
-  world_.trace().record(host_.name(), "promoted", view_.str());
-  log_.warn("PROMOTED to group leader: ", view_.str());
+  log_leader_ = my_member();
+  if (followers) role_ = Role::kPrimary;
 
   stack_.set_replica_mode(false);
+  // Promote the decision log BEFORE unsuppressing: the app's promote hook
+  // drains the replayed backlog, and any response it releases must see the
+  // log already in record mode. The followers' acks restart from zero: they
+  // acked the old leader's numbering, not ours.
+  for (GroupPeer& p : peers_) p.decision_ack = 0;
+  if (decision_log_ != nullptr) decision_log_->promote(followers);
   for (auto& [id, rc] : conns_) {
     if (rc->conn != nullptr) {
       rc->conn->on_takeover(cfg_.immediate_retransmit_on_takeover);
     }
   }
+  stop_ping_loop();
+  if (timeline_ != nullptr) {
+    timeline_->mark(obs::Milestone::kTakeover, world_.now());
+    if (view_on_wire()) {
+      timeline_->set_promotion(host_.name(), my_member(), view_.epoch);
+    }
+  }
+  world_.trace().record(host_.name(), "takeover", promotion_reason_);
+  group_trace("promoted", view_.str());
+  log_.warn("TOOK OVER as active server: ", promotion_reason_, " (", view_.str(), ")");
 
-  if (view_.order.size() > 1) {
+  if (followers) {
     // Survivors remain: stay in replicating mode as the new leader. Fresh
-    // per-member mirrors and lag baselines (the survivors' counters restart
-    // relative to OURS now), and primary-side seams on every live replica.
+    // ids for our inferred replicas, fresh per-member mirrors and lag
+    // baselines (the survivors' counters restart relative to OURS now), and
+    // leader-side seams on every live replica.
+    renumber_inferred_conns();
     for (auto& [id, rc] : conns_) {
-      rc->gp.clear();
-      ensure_group_progress(*rc);
+      for (ReplConn::PeerProgress& g : rc->gp) g = ReplConn::PeerProgress{};
+      for (ReplConn::PeerProgress& g : rc->gp) g.since = world_.now();
       rc->lag_read.reset();
       rc->lag_written.reset();
       rc->lag_received.reset();
@@ -1888,11 +1718,12 @@ void StTcpEndpoint::win_promotion() {
     update_group_gauges();
     send_heartbeat(/*include_serial=*/false);  // immediate beat as leader
   } else {
-    mode_ = Mode::kTakenOver;
     hb_timer_.stop();
     announce_view();
     update_group_gauges();
   }
+  // Output-commit fallback: any receive gap whose bytes the dead leader
+  // already acknowledged can only be filled by the stream logger now.
   if (!cfg_.logger_ip.is_zero()) {
     logger_attempts_ = 0;
     logger_recovery_tick();
@@ -1900,7 +1731,7 @@ void StTcpEndpoint::win_promotion() {
 }
 
 void StTcpEndpoint::on_promote_request(net::Ipv4Addr src, const PromoteRequest& pr) {
-  if (!group_mode() || mode_ != Mode::kReplicating) return;
+  if (mode_ != Mode::kReplicating) return;
   PromoteAck ack;
   ack.epoch = pr.epoch;
   ack.candidate = pr.candidate;
@@ -1939,7 +1770,7 @@ void StTcpEndpoint::on_promote_request(net::Ipv4Addr src, const PromoteRequest& 
 }
 
 void StTcpEndpoint::on_promote_ack(const PromoteAck& ack) {
-  if (!group_mode() || mode_ != Mode::kReplicating) return;
+  if (mode_ != Mode::kReplicating) return;
   if (!ballot_.active || ack.candidate != my_member() ||
       ack.epoch != ballot_.epoch) {
     return;
@@ -1960,6 +1791,7 @@ void StTcpEndpoint::on_promote_ack(const PromoteAck& ack) {
 }
 
 void StTcpEndpoint::announce_view() {
+  if (!view_on_wire()) return;
   ViewAnnounce va;
   va.epoch = view_.epoch;
   va.order = view_.order;
@@ -1988,7 +1820,7 @@ void StTcpEndpoint::flush_stonith_pending() {
 
 void StTcpEndpoint::maybe_adopt_view(std::uint32_t epoch,
                                      const std::vector<std::uint8_t>& order) {
-  if (!group_mode() || order.empty()) return;
+  if (order.empty()) return;
   if (static_cast<std::int32_t>(epoch - view_.epoch) <= 0) return;
   view_.epoch = epoch;
   view_.order = order;
@@ -2000,11 +1832,7 @@ void StTcpEndpoint::maybe_adopt_view(std::uint32_t epoch,
   ballot_.reset();
   promote_timer_.cancel();
   stonith_pending_.clear();
-  if (ping_loop_active_) {
-    ping_loop_active_ = false;
-    my_ping_valid_ = false;
-    ping_timer_.cancel();
-  }
+  if (ping_loop_active_) stop_ping_loop();
   world_.trace().record(host_.name(), "view_adopted", view_.str());
   if (!view_.contains(my_member())) {
     update_group_gauges();
@@ -2021,27 +1849,25 @@ void StTcpEndpoint::maybe_adopt_view(std::uint32_t epoch,
     role_ = view_.is_leader(my_member()) ? Role::kPrimary : Role::kBackup;
   }
   update_group_gauges();
+  refresh_decision_ack();
 }
 
 void StTcpEndpoint::group_commit_rejoin(std::uint8_t member) {
   view_.append_lowest(member);
   ++view_.epoch;
   ++stats_.view_changes;
-  GroupPeer* p = peer_by_member(member);
-  if (p != nullptr) {
-    const std::size_t pi = static_cast<std::size_t>(p - peers_.data());
-    p->last_rx_ip = world_.now();
-    p->last_rx_serial = world_.now();
-    p->seen_hb = false;
-    p->app_suspect = false;
-    p->ping_fail_streak = 0;
-    for (auto& [id, rc] : conns_) {
-      ensure_group_progress(*rc);
-      rc->gp[pi] = ReplConn::PeerProgress{};
-      rc->gp[pi].since = world_.now();
-    }
-  }
   announce_view();
+  update_group_gauges();
+  refresh_decision_ack();
+}
+
+void StTcpEndpoint::seat_behind(std::uint8_t leader) {
+  view_.remove(leader);
+  view_.remove(my_member());
+  view_.order.insert(view_.order.begin(), leader);
+  view_.order.push_back(my_member());
+  // The snapshot we restored came from this leader's log.
+  log_leader_ = leader;
   update_group_gauges();
 }
 

@@ -1,28 +1,34 @@
 // StTcpEndpoint: the per-server ST-TCP engine (the paper's primary
 // contribution).
 //
-// One endpoint runs on the primary and one on the backup. Each:
-//  * exchanges heartbeats every hb_period on TWO channels — UDP over the IP
-//    link and the RS-232 serial link (§3) — carrying the per-connection
-//    progress counters, FIN/RST notices, connection announcements and
-//    gateway-ping results;
-//  * tracks per-channel liveness (hb_miss_threshold consecutive silent
-//    periods kill a channel);
+// One endpoint runs on every member of a replication roster: the leader
+// (the paper's primary) and one or more ranked followers (backups). The
+// paper's pair is the 2-member roster; there is no separate pair path. Each
+// endpoint:
+//  * exchanges heartbeats every hb_period with every other member on the IP
+//    link, and additionally over the RS-232 serial link with the member it
+//    shares the cable with (§3), carrying the per-connection progress
+//    counters, FIN/RST notices, connection announcements and gateway-ping
+//    results;
+//  * tracks per-member, per-channel liveness (hb_miss_threshold consecutive
+//    silent periods kill a channel);
 //  * detects and reacts to every single-failure row of Table 1:
 //      1. HW/OS crash        — both channels dead             → takeover / non-FT
 //      2. app hang (no FIN)  — AppMaxLagBytes / AppMaxLagTime → takeover / non-FT
 //      3. app crash (FIN)    — FIN disagreement + MaxDelayFIN → takeover / non-FT
 //      4. NIC/cable failure  — IP dead + serial alive, LastByteReceived
 //                              comparison + gateway-ping arbitration
-//      5. temporary loss     — backup recovers missed bytes from the
-//                              primary's hold buffer over the control channel
-//  * on the primary: feeds the hold buffer from the connection rx tap,
-//    releases it as the backup confirms receipt, gates FIN/RST emission for
-//    arbitration, and announces new connections (ISS/IRS) to the backup;
-//  * on the backup: creates replica connections from announcements, keeps
-//    them suppressed, and performs the takeover — STONITH the primary, leave
-//    replica mode, stop suppressing (paper: wait for the next natural
-//    retransmission; optionally retransmit immediately).
+//      5. temporary loss     — a follower recovers missed bytes from the
+//                              leader's hold buffer over the control channel
+//  * on the leader: feeds the hold buffer from the connection rx tap,
+//    releases it as every follower confirms receipt, gates FIN/RST emission
+//    for arbitration, and announces new connections (ISS/IRS) to followers;
+//  * on a follower: creates replica connections from announcements, keeps
+//    them suppressed, and — when the leader is convicted — runs the ranked
+//    promotion (docs/GROUPS.md). With no other follower left the ballot is
+//    vacuous and the promotion is the paper's takeover: STONITH the old
+//    leader, leave replica mode, stop suppressing (paper: wait for the next
+//    natural retransmission; optionally retransmit immediately).
 #pragma once
 
 #include <cstdint>
@@ -74,10 +80,10 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     std::uint64_t fin_delayed = 0;
     std::uint64_t fin_agreed = 0;
     std::uint64_t takeovers = 0;
-    std::uint64_t promotions = 0;            // group mode: promotion wins
-    std::uint64_t votes_granted = 0;         // group mode: PromoteAck grants sent
-    std::uint64_t votes_denied = 0;          // group mode: PromoteAck denials sent
-    std::uint64_t view_changes = 0;          // group mode: epochs adopted/announced
+    std::uint64_t promotions = 0;            // promotion wins (a takeover is one)
+    std::uint64_t votes_granted = 0;         // PromoteAck grants sent
+    std::uint64_t votes_denied = 0;          // PromoteAck denials sent
+    std::uint64_t view_changes = 0;          // epochs adopted/announced
     std::uint64_t reintegrations = 0;        // survivor side: completed
     std::uint64_t rejoins = 0;               // rejoiner side: completed
     std::uint64_t snapshot_conns_sent = 0;
@@ -98,7 +104,8 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   const StTcpConfig& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
 
-  /// Channel liveness as currently believed (tests / benches).
+  /// Channel liveness as currently believed: some other member was heard
+  /// on the channel within the miss deadline (tests / benches).
   bool ip_channel_alive() const;
   bool serial_channel_alive() const;
   /// Replicated connections currently tracked.
@@ -114,19 +121,17 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// LOCAL application has failed; relayed to the peer via the heartbeat.
   void report_local_app_suspect() { local_app_suspect_ = true; }
 
-  // --- 1+N groups (docs/GROUPS.md) -------------------------------------------
-  /// True when cfg.group names a replication group; false = classic pair
-  /// mode, whose behaviour is preserved bit-for-bit.
-  bool group_mode() const { return !cfg_.group.empty(); }
-  /// Current group view (rank-ordered member list + epoch).
+  // --- replication roster (docs/GROUPS.md) ----------------------------------
+  /// The wire-format rule: rosters above two members carry the group-view
+  /// block (header flag 0x20) and control types 8–10, and record the view
+  /// protocol's milestones. The 2-member roster is the paper's pair and
+  /// keeps the paper's wire format, trace and metrics.
+  bool view_on_wire() const { return cfg_.group.size() > 2; }
+  /// Current view (rank-ordered member list + epoch).
   const GroupView& view() const { return view_; }
   /// This member's rank in its current view (0 = leader; -1 = fenced out).
-  int promotion_rank() const {
-    return group_mode() ? view_.rank_of(my_member()) : (role_ == Role::kPrimary ? 0 : 1);
-  }
-  bool is_group_leader() const {
-    return group_mode() && view_.is_leader(my_member());
-  }
+  int promotion_rank() const { return view_.rank_of(my_member()); }
+  bool is_group_leader() const { return view_.is_leader(my_member()); }
 
   // --- reintegration (beyond the paper) --------------------------------------
   /// The application's checkpoint: serialized by the survivor into the
@@ -144,14 +149,15 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   // --- logged-decision channel (decision.h, docs/APPLICATION.md) -------------
   /// Attach the application's decision log. The endpoint piggybacks its
   /// unacked records and cumulative ack on every heartbeat (the 0x40 header
-  /// block), acks promptly when ingest advances, promotes the log at
-  /// takeover, and flips it standalone whenever the pair loses its peer.
-  /// Pair-scoped: group (1+N) endpoints ignore the log.
+  /// block), acks promptly when ingest advances, feeds the leader's log the
+  /// minimum ack over the current view, bounds a follower's consumption by
+  /// the leader's shared point, promotes the log at takeover, and flips it
+  /// standalone whenever the leader loses its last follower.
   void set_decision_log(DecisionLog* log);
   DecisionLog* decision_log() const { return decision_log_; }
   /// Event-style decision-only heartbeat (IP channel, no connection
   /// records): the application flushed a batch of choices, or our replay
-  /// cursor advanced and the primary is waiting on the ack to release
+  /// cursor advanced and the leader is waiting on the ack to release
   /// gated responses.
   void send_decision_heartbeat();
 
@@ -165,10 +171,10 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     tcp::FourTuple tuple;
     tcp::TcpConnection* conn = nullptr;
 
-    HoldBuffer hold;  // primary only
-    bool announce_confirmed = false;
+    HoldBuffer hold;  // leader only
 
-    // Peer state from heartbeat records (unwrapped to 64 bits).
+    // Peer state from heartbeat records (unwrapped to 64 bits): the most
+    // recent record's values from any member (counters never regress).
     bool peer_valid = false;
     std::uint64_t p_received = 0;
     std::uint64_t p_acked = 0;
@@ -210,10 +216,9 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
     sim::SimTime registered_at;
 
-    // Group mode, leader side: per-member progress mirror, indexed like
-    // peers_. The shared p_* fields keep the most recent record's values
-    // (sufficient for the backup side and for lag detection); hold release
-    // and FIN agreement need the per-member minimum, which lives here.
+    // Per-member progress mirror, indexed like peers_. The shared p_*
+    // fields above serve the follower side and lag detection; hold release,
+    // announces and FIN agreement need each member's own view.
     struct PeerProgress {
       bool valid = false;   // a record matched: the member's replica exists
       bool echoed = false;  // matched by OUR id: stop announcing to this member
@@ -223,7 +228,8 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     };
     std::vector<PeerProgress> gp;
 
-    ReplConn(sim::EventLoop& loop, const StTcpConfig& cfg)
+    ReplConn(sim::EventLoop& loop, const StTcpConfig& cfg, std::size_t peers,
+             sim::SimTime now)
         : hold(cfg.hold_buffer_capacity),
           lag_read(cfg.app_max_lag_bytes, cfg.app_lag_bytes_grace,
                    cfg.app_max_lag_time),
@@ -233,7 +239,10 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
           lag_acked(cfg.nic_lag_bytes, cfg.app_lag_bytes_grace, cfg.nic_lag_time),
           progress(cfg.progress_stall_time),
           fin_delay_timer(loop),
-          peer_fin_timer(loop) {}
+          peer_fin_timer(loop) {
+      gp.resize(peers);
+      for (PeerProgress& g : gp) g.since = now;
+    }
 
     // Current counter values: live connection or final snapshot.
     std::uint64_t received() const { return conn ? conn->bytes_received() : f_received; }
@@ -244,7 +253,8 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     bool rst() const { return conn ? conn->rst_generated() : f_rst; }
   };
 
-  // Heartbeat path. Periodic beats go out on BOTH channels; event-triggered
+  // Heartbeat path. Periodic beats go to every member on the IP channel and
+  // to the cable-sharing member on the serial channel; event-triggered
   // beats (connection announce, FIN notice) go out on the IP channel only —
   // a full heartbeat costs milliseconds of serial wire time, and a burst of
   // events (e.g. 100 connections arriving) must not back the serial link up.
@@ -256,20 +266,21 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   // (the 115.2 kbps line cannot carry thousands of records per period).
   void send_heartbeat(bool include_serial = true);
   void send_event_heartbeat(std::uint16_t id);
-  HeartbeatMsg make_hb_header();
-  /// peer_idx >= 0: group mode — the announce decision is per-member (taken
-  /// from rc.gp[peer_idx].echoed instead of rc.announce_confirmed).
-  HbRecord make_record(std::uint16_t id, const ReplConn& rc, int peer_idx = -1) const;
+  struct GroupPeer;
+  /// Header and decision block for one recipient: its decision window
+  /// starts above its own cumulative ack.
+  HeartbeatMsg make_hb_header(const GroupPeer& to);
+  /// The announce decision is per member: `peer_idx` indexes peers_.
+  HbRecord make_record(std::uint16_t id, const ReplConn& rc, std::size_t peer_idx) const;
   void on_hb_datagram(net::BytesView payload, bool via_serial);
   void on_heartbeat(const HeartbeatMsg& msg, bool via_serial);
-  /// peer_idx >= 0: group mode, the peers_ index the record arrived from.
-  void process_record(const HbRecord& rec, int peer_idx = -1);
+  /// `peer_idx` indexes peers_: the member the record arrived from.
+  void process_record(const HbRecord& rec, std::size_t peer_idx);
   void detector_tick();
-  /// Shared tail of send_heartbeat: emit the (possibly budget-rotated) UDP
-  /// copy to `dst` and, when `serial` is non-null, the capped serial copy.
-  /// The rotation cursors are the CALLER's — per peer in group mode, the
-  /// endpoint-level pair cursors otherwise — so no peer's window is advanced
-  /// by a copy sent to a different peer.
+  /// Emit one member's copy of a heartbeat: the (possibly budget-rotated)
+  /// UDP copy to `dst` and, when `serial` is non-null, the capped serial
+  /// copy. The rotation cursors are that member's, so no member's window is
+  /// advanced by a copy sent to a different member.
   void emit_heartbeat(const HeartbeatMsg& msg, std::size_t total_bytes,
                       net::Ipv4Addr dst, net::SerialPort* serial,
                       std::uint16_t& udp_cursor, std::uint16_t& serial_cursor);
@@ -285,6 +296,15 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// when a reintegrating survivor re-arms a former backup's connections.
   void install_primary_seams(tcp::TcpConnection& conn, std::uint16_t id);
   void create_replica_from(const HbRecord& rec);
+  /// Raise both id cursors above every id we track (a former follower's
+  /// table mixes an earlier leader's ids with its own inferred ids).
+  void raise_id_cursors();
+  /// A promoted leader's live replicas under our own inferred ids move into
+  /// the primary range: every follower numbers its inferences in the same
+  /// 0x8000+ range, so an inferred id may name another connection there.
+  /// The announces that follow carry the tuple; each follower re-keys its
+  /// replica to the new id.
+  void renumber_inferred_conns();
   /// `established` false = seeded from the tapped SYN via the deterministic
   /// accept-ISN function; the replica finishes the handshake passively.
   void create_replica_inferred(const tcp::FourTuple& tuple, tcp::SeqWire iss,
@@ -298,7 +318,7 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
   // NIC arbitration.
   void update_ping_loop();
-  void evaluate_nic_arbitration();
+  void stop_ping_loop();
 
   // Recovery.
   void maybe_request_missed(ReplConn& rc);
@@ -310,14 +330,10 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void apply_missed(const MissedBytesReply& rep);
 
   // Failure reactions.
-  void peer_failed(const std::string& reason, const char* trace_event);
-  void takeover(const std::string& reason);
   void go_non_ft(const std::string& reason);
-  void stonith_peer();
 
-  // --- 1+N group machinery (group.h, docs/GROUPS.md) -------------------------
-  /// Liveness/arbitration state for one OTHER group member. Pair mode keeps
-  /// this vector empty and uses the endpoint-level fields instead.
+  // --- roster machinery (group.h, docs/GROUPS.md) ----------------------------
+  /// Liveness/arbitration state for one OTHER roster member.
   struct GroupPeer {
     std::uint8_t member = 0;
     net::Ipv4Addr ip;
@@ -329,9 +345,14 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     bool seen_hb = false;
     bool app_suspect = false;
     int ping_fail_streak = 0;
+    /// The member's cumulative ack of our decision stream.
+    std::uint64_t decision_ack = 0;
     // Per-peer rotating-window cursors (serial record cap and UDP byte
     // budget): each member's window advances only with copies sent to IT, so
     // a record cannot be starved on one channel by traffic to another.
+    // Cursors hold the next connection id to send, not a vector position:
+    // ids survive the churn of connections opening and closing between
+    // beats, so no record can be starved by recomposition.
     std::uint16_t serial_rr_next_id = 0;
     std::uint16_t udp_rr_next_id = 0;
   };
@@ -341,22 +362,17 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   int peer_index_by_ip(net::Ipv4Addr ip) const;
   bool peer_ip_alive(const GroupPeer& p) const;
   bool peer_serial_alive(const GroupPeer& p) const;
-  /// Lazily size rc.gp to peers_ and stamp fresh `since` baselines.
-  void ensure_group_progress(ReplConn& rc);
-  /// Group fan-out of the periodic / event heartbeat.
-  void send_group_heartbeat(bool include_serial);
-  void on_group_heartbeat(const HeartbeatMsg& msg, bool via_serial);
-  void group_detector_tick();
+  /// The serial cable links every roster member: the pair's RS-232 line
+  /// arbitrates, so no gateway ping gates a promotion.
+  bool serial_arbitrates() const;
+  /// Record a view-protocol milestone (view_on_wire() rosters only).
+  void group_trace(const char* event, const std::string& detail);
   /// Adopt a strictly newer view (from a heartbeat or a ViewAnnounce). A
   /// view that excludes this member is a fence: re-enter via rejoin.
   void maybe_adopt_view(std::uint32_t epoch, const std::vector<std::uint8_t>& order);
-  /// Record-driven conviction dispatch: pair mode -> peer_failed, group
-  /// mode -> member_failed on the record's sender.
-  void convict_from_record(int peer_idx, const std::string& reason,
-                           const char* trace_event);
-  /// Convict one group member: remove from the view, queue its STONITH, and
-  /// either (leader) fence + announce immediately or (backup) start the
-  /// ranked-promotion protocol.
+  /// Convict one member: remove it from the view, queue its STONITH, and
+  /// either (leader) fence it and carry on — non-fault-tolerant once no
+  /// follower is left — or (follower) start the ranked-promotion protocol.
   void member_failed(std::size_t peer_idx, const std::string& reason,
                      const char* trace_event);
   /// Ranked promotion: called after any view change while leaderless.
@@ -367,8 +383,8 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void win_promotion();
   void on_promote_request(net::Ipv4Addr src, const PromoteRequest& pr);
   void on_promote_ack(const PromoteAck& ack);
-  /// Broadcast the current view to every configured member (control channel;
-  /// the next heartbeats carry it too).
+  /// Send the current view to every configured member (control channel;
+  /// the next heartbeats carry it too). view_on_wire() rosters only.
   void announce_view();
   /// STONITH every member convicted since the last flush — always BEFORE
   /// unsuppressing any replica (the dual-active guard).
@@ -376,8 +392,14 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// Reintegration commit on the leader: re-admit `member` at the lowest
   /// rank, bump the epoch and announce.
   void group_commit_rejoin(std::uint8_t member);
-  /// FIN/close agreement across every live member's mirror of `rc`.
-  bool group_fins_agree(const ReplConn& rc) const;
+  /// Reintegration commit on the rejoiner: `leader` committed us, so it
+  /// leads and we follow at the lowest rank until a view says otherwise.
+  void seat_behind(std::uint8_t leader);
+  /// Live members other than this one and `except` (e.g. a rejoiner).
+  std::size_t live_followers(int except = -1) const;
+  /// FIN/close agreement across every live member's mirror of `rc`
+  /// (vacuously true with no live member).
+  bool fins_agree(const ReplConn& rc) const;
   void update_group_gauges();
   net::Ipv4Addr group_leader_ip() const;
 
@@ -396,12 +418,17 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void install_replica_seams();
 
   /// Map the current mode onto the decision log's commit discipline:
-  /// replicating = peer-acked commit; reintegrating = standalone commit but
-  /// retain for the rejoiner; taken-over / non-FT = standalone, drop.
+  /// replicating = peer-acked commit; reintegrating = retain for the
+  /// rejoiner, commit on the live followers' acks (standalone when none is
+  /// left); taken-over / non-FT = standalone, drop.
   /// Called after every mode transition site (takeover, go_non_ft, the
   /// reintegrator's handshakes) — idempotent.
   void sync_decision_log();
-  void process_decisions(const HeartbeatMsg& msg);
+  void process_decisions(const HeartbeatMsg& msg, GroupPeer& from);
+  /// Feed the log the minimum cumulative ack over the current view (commit)
+  /// and over the view plus a rejoiner being reintegrated (retention). Re-run
+  /// on every view change.
+  void refresh_decision_ack();
 
   net::Host& host_;
   tcp::TcpStack& stack_;
@@ -415,16 +442,7 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   Mode mode_ = Mode::kReplicating;
   sim::PeriodicTimer hb_timer_;
   std::uint32_t hb_seq_ = 0;
-
-  // Channel liveness.
-  sim::SimTime last_rx_ip_;
-  sim::SimTime last_rx_serial_;
   bool started_ = false;
-
-  // Bounded-reorder guard over the peer's heartbeat sequence (see
-  // on_heartbeat). A large backward jump is a rebooted peer, not staleness.
-  std::uint32_t last_peer_hb_seq_ = 0;
-  bool seen_peer_hb_ = false;
 
   std::size_t hold_peak_bytes_ = 0;
   // Running total across all hold buffers; adjusted at every mutation site
@@ -433,16 +451,8 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   std::uint64_t hold_total_bytes_ = 0;
   void note_hold_change(std::size_t before, std::size_t after);
   void recompute_hold_total();
-  // Round-robin cursors for the truncated record windows (serial record cap
-  // and UDP byte budget — the IPv4 64 KB datagram limit; see
-  // send_heartbeat). Cursors hold the next connection id to send, not a
-  // vector position: ids survive the churn of connections opening and
-  // closing between beats, so no record can be starved by recomposition.
-  std::uint16_t serial_rr_next_id_ = 0;
-  std::uint16_t udp_rr_next_id_ = 0;
 
-  // Group mode state (empty / idle in pair mode).
-  std::vector<GroupPeer> peers_;  // every OTHER configured member
+  std::vector<GroupPeer> peers_;  // every OTHER roster member
   GroupView view_;
   PromotionBallot ballot_;
   sim::OneShotTimer promote_timer_;
@@ -451,10 +461,17 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// True between convicting the leader and learning (or becoming) the next
   /// one; gates the candidacy / defer state machine.
   bool awaiting_leader_ = false;
+  /// The conviction that left us leaderless (the takeover's trace detail).
+  std::string promotion_reason_;
   /// One-grant-per-epoch ledger (voter side).
   bool have_granted_ = false;
   std::uint32_t granted_epoch_ = 0;
   std::uint8_t granted_candidate_ = 0;
+  /// The leader whose decision numbering this follower's log holds. A view
+  /// naming a different leader means records above that leader's kept
+  /// prefix are stale: acks stay at the consumed point until its heartbeat
+  /// says where to truncate.
+  std::uint8_t log_leader_ = 0;
 
   // Gateway-ping arbitration.
   sim::OneShotTimer ping_timer_;
@@ -464,8 +481,6 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   bool ping_loop_active_ = false;
   bool my_ping_valid_ = false;
   bool my_ping_ok_ = false;
-  int peer_ping_fail_streak_ = 0;
-  bool peer_app_suspect_ = false;
   bool local_app_suspect_ = false;
 
   std::map<std::uint16_t, std::unique_ptr<ReplConn>> conns_;
@@ -485,7 +500,7 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// detection-latency signal, exported so bench output can graph how far a
   /// sick peer fell behind before conviction.
   obs::Gauge* m_app_lag_bytes_ = nullptr;
-  /// Group mode: this member's current promotion rank and view epoch.
+  /// This member's current promotion rank and view epoch (view_on_wire()).
   obs::Gauge* m_rank_ = nullptr;
   obs::Gauge* m_epoch_ = nullptr;
   obs::FailoverTimeline* timeline_ = nullptr;

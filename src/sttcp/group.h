@@ -27,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,6 +39,21 @@ struct GroupView {
   /// Member indices (into StTcpConfig::group) in rank order; order[0] is the
   /// leader. Absence means convicted/departed.
   std::vector<std::uint8_t> order;
+
+  /// A usable rank order: every member indexes a roster of `roster_size`
+  /// and none repeats. Orders arrive off the wire; nothing else guards the
+  /// roster lookups keyed by them.
+  static bool valid_order(const std::vector<std::uint8_t>& order,
+                          std::size_t roster_size) {
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (order[i] >= roster_size) return false;
+      if (std::find(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(i),
+                    order[i]) != order.begin() + static_cast<std::ptrdiff_t>(i)) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   bool contains(std::uint8_t m) const {
     return std::find(order.begin(), order.end(), m) != order.end();

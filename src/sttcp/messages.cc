@@ -52,13 +52,16 @@ net::Bytes HeartbeatMsg::serialize() const {
   // The epoch rides only on rejoin-flagged heartbeats, so the steady-state
   // record math ("<20 bytes per connection") is untouched.
   if (rejoin_request || rejoin_ready) w.u32(rejoin_epoch);
-  // Group-view block: sender member, view epoch, rank-ordered member list.
-  // Gated on the flag, so classic pair heartbeats stay byte-identical.
+  // Group-view block: sender member, view epoch, rank-ordered member list,
+  // decision sharing points. Gated on the flag, so pair heartbeats stay
+  // byte-identical.
   if (group_valid) {
     w.u8(member);
     w.u32(view_epoch);
     w.u8(static_cast<std::uint8_t>(view_order.size()));
     for (const std::uint8_t m : view_order) w.u8(m);
+    w.u64(decision_base);
+    w.u64(decision_shared);
   }
   // Decision block: cumulative ack + the sender's unacked records. Gated on
   // the flag like the group block, so decision-free pairs pay zero bytes.
@@ -135,6 +138,9 @@ std::optional<HeartbeatMsg> HeartbeatMsg::parse(net::BytesView data) {
       if (n > r.remaining()) return std::nullopt;
       m.view_order.reserve(n);
       for (std::uint8_t i = 0; i < n; ++i) m.view_order.push_back(r.u8());
+      if (!GroupView::valid_order(m.view_order, 256)) return std::nullopt;
+      m.decision_base = r.u64();
+      m.decision_shared = r.u64();
     }
     if (m.decisions_valid) {
       m.decision_ack = r.u64();
@@ -292,6 +298,7 @@ std::optional<ControlMsg> ControlMsg::parse(net::BytesView data) {
       if (n > r.remaining()) return std::nullopt;
       m.view_announce.order.reserve(n);
       for (std::uint8_t i = 0; i < n; ++i) m.view_announce.order.push_back(r.u8());
+      if (!GroupView::valid_order(m.view_announce.order, 256)) return std::nullopt;
       return m;
     }
     return std::nullopt;

@@ -24,6 +24,7 @@
 #include "net/addr.h"
 #include "net/bytes.h"
 #include "sttcp/decision.h"
+#include "sttcp/group.h"
 
 namespace sttcp::sttcp {
 
@@ -82,14 +83,19 @@ struct HeartbeatMsg {
   bool rejoin_ready = false;
   std::uint32_t rejoin_epoch = 0;
 
-  /// Group-view extension (1+N groups, docs/GROUPS.md): the sender's member
-  /// index, its view epoch and the rank-ordered member list (order[0] is the
-  /// leader). Travels only when `group_valid` is set; classic pair endpoints
-  /// never set it, so the paper-sized wire format is byte-identical.
+  /// Group-view extension (docs/GROUPS.md): the sender's member index, its
+  /// view epoch, the rank-ordered member list (order[0] is the leader) and
+  /// its decision-log sharing points — `decision_base`, the prefix it kept
+  /// when promoted, and `decision_shared`, the highest decision every live
+  /// member holds. Travels only when `group_valid` is set, which endpoints
+  /// do only for rosters above two members: the 2-member roster is the
+  /// paper's pair and keeps its wire format byte-identical.
   bool group_valid = false;
   std::uint8_t member = 0;
   std::uint32_t view_epoch = 0;
   std::vector<std::uint8_t> view_order;
+  std::uint64_t decision_base = 0;
+  std::uint64_t decision_shared = 0;
 
   /// Logged-decision block (docs/APPLICATION.md): the sender's cumulative
   /// ack of the peer's decision stream plus its own unacked records. Gated

@@ -27,10 +27,8 @@ bool Reintegrator::rejoin_ready_flag() const {
 }
 
 void Reintegrator::send_control(const net::Bytes& payload) {
-  // Pair mode: the one peer. Group mode: the member whose rejoin we serve.
-  const net::Ipv4Addr dst =
-      rejoin_ip_.value() != 0 ? rejoin_ip_ : ep_.cfg_.peer_ip;
-  ep_.host_.udp_send(ep_.cfg_.my_ip, ep_.cfg_.control_port, dst,
+  // To the member whose rejoin we serve.
+  ep_.host_.udp_send(ep_.cfg_.my_ip, ep_.cfg_.control_port, rejoin_ip_,
                      ep_.cfg_.control_port, payload);
 }
 
@@ -41,48 +39,36 @@ void Reintegrator::send_control(const net::Bytes& payload) {
 void Reintegrator::enter_rejoin() {
   if (!ep_.started_) return;
   // Epoch: unique per boot. The sim clock is strictly later than at any
-  // previous boot; the original role salts the low bit so both nodes booting
-  // in the same microsecond cannot collide.
+  // previous boot, and a salt keeps members booting in the same microsecond
+  // apart: the member index where the view travels on the wire (any subset
+  // of a group can reboot together), the role bit in the pair's format.
   const std::uint64_t boot_us =
       static_cast<std::uint64_t>((ep_.world_.now() - sim::SimTime()).us());
-  if (ep_.group_mode()) {
-    // Any subset of a group can reboot in the same microsecond; salt with
-    // the member index instead of the (two-valued) role.
-    epoch_ = static_cast<std::uint32_t>(
-                 boot_us * 8 + static_cast<std::uint64_t>(ep_.my_member())) |
-             1u << 31;
-  } else {
-    epoch_ = static_cast<std::uint32_t>(
-                 boot_us * 2 + (ep_.role_ == Role::kPrimary ? 1 : 0)) |
-             1u << 31;  // never zero, disjoint from the default
-  }
+  const std::uint64_t salt =
+      ep_.view_on_wire() ? boot_us * 8 + ep_.my_member()
+                         : boot_us * 2 + (ep_.role_ == Role::kPrimary ? 1 : 0);
+  epoch_ = static_cast<std::uint32_t>(salt) | 1u << 31;  // never zero
 
   ep_.mode_ = StTcpEndpoint::Mode::kRejoining;
   ep_.role_ = Role::kBackup;
   ep_.conns_.clear();
   ep_.id_by_tuple_.clear();
   ep_.local_app_suspect_ = false;
-  ep_.peer_app_suspect_ = false;
   ep_.ping_loop_active_ = false;
   ep_.my_ping_valid_ = false;
   ep_.my_ping_ok_ = false;
-  ep_.peer_ping_fail_streak_ = 0;
-  ep_.last_rx_ip_ = ep_.world_.now();
-  ep_.last_rx_serial_ = ep_.world_.now();
-  if (ep_.group_mode()) {
-    // A crashed member's promotion/arbitration state died with it.
-    ep_.awaiting_leader_ = false;
-    ep_.ballot_.reset();
-    ep_.promote_timer_.cancel();
-    ep_.stonith_pending_.clear();
-    ep_.have_granted_ = false;
-    for (auto& p : ep_.peers_) {
-      p.last_rx_ip = ep_.world_.now();
-      p.last_rx_serial = ep_.world_.now();
-      p.seen_hb = false;
-      p.app_suspect = false;
-      p.ping_fail_streak = 0;
-    }
+  // A crashed member's promotion/arbitration state died with it.
+  ep_.awaiting_leader_ = false;
+  ep_.ballot_.reset();
+  ep_.promote_timer_.cancel();
+  ep_.stonith_pending_.clear();
+  ep_.have_granted_ = false;
+  for (auto& p : ep_.peers_) {
+    p.last_rx_ip = ep_.world_.now();
+    p.last_rx_serial = ep_.world_.now();
+    p.seen_hb = false;
+    p.app_suspect = false;
+    p.ping_fail_streak = 0;
   }
   applied_ = false;
   rx_active_ = false;
@@ -104,7 +90,7 @@ void Reintegrator::enter_rejoin() {
   ep_.send_heartbeat(/*include_serial=*/false);
 }
 
-void Reintegrator::on_control(net::BytesView payload) {
+void Reintegrator::on_control(net::BytesView payload, std::uint8_t member) {
   try {
     net::ByteReader r(payload);
     switch (static_cast<ControlType>(r.u8())) {
@@ -112,7 +98,7 @@ void Reintegrator::on_control(net::BytesView payload) {
       case ControlType::kSnapshotConn: on_snapshot_conn(r); break;
       case ControlType::kSnapshotData: on_snapshot_data(r); break;
       case ControlType::kSnapshotEnd: on_snapshot_end(r); break;
-      case ControlType::kRejoinCommit: on_commit(r); break;
+      case ControlType::kRejoinCommit: on_commit(r, member); break;
       default: break;
     }
   } catch (const std::exception&) {
@@ -214,12 +200,12 @@ void Reintegrator::apply_snapshot() {
       ep_.next_inferred_id_ = std::max<std::uint16_t>(
           ep_.next_inferred_id_, static_cast<std::uint16_t>(id + 1));
     }
-    auto rc = std::make_unique<StTcpEndpoint::ReplConn>(ep_.world_.loop(), ep_.cfg_);
+    auto rc = std::make_unique<StTcpEndpoint::ReplConn>(
+        ep_.world_.loop(), ep_.cfg_, ep_.peers_.size(), ep_.world_.now());
     rc->id = id;
     rc->tuple = sc.tuple;
     rc->registered_at = ep_.world_.now();
     rc->peer_valid = true;
-    rc->announce_confirmed = true;
     rc->p_received = sc.received;
     rc->p_acked = sc.acked;
     rc->p_written = sc.written;
@@ -257,16 +243,19 @@ void Reintegrator::apply_snapshot() {
   ep_.send_heartbeat(/*include_serial=*/false);
 }
 
-void Reintegrator::on_commit(net::ByteReader& r) {
+void Reintegrator::on_commit(net::ByteReader& r, std::uint8_t leader) {
   const std::uint32_t e = r.u32();
   if (ep_.mode_ != StTcpEndpoint::Mode::kRejoining || !applied_ || e != epoch_) {
     return;
   }
   ep_.mode_ = StTcpEndpoint::Mode::kReplicating;
+  ep_.seat_behind(leader);
   ep_.sync_decision_log();
   ++ep_.stats_.rejoins;
-  ep_.last_rx_ip_ = ep_.world_.now();
-  ep_.last_rx_serial_ = ep_.world_.now();
+  for (auto& p : ep_.peers_) {
+    p.last_rx_ip = ep_.world_.now();
+    p.last_rx_serial = ep_.world_.now();
+  }
   if (ep_.timeline_ != nullptr) {
     ep_.timeline_->mark(obs::Milestone::kReintegrationComplete, ep_.world_.now());
   }
@@ -278,13 +267,13 @@ void Reintegrator::on_commit(net::ByteReader& r) {
 // Survivor side
 // ---------------------------------------------------------------------------
 
-void Reintegrator::on_rejoin_request(std::uint32_t epoch, int member) {
+void Reintegrator::on_rejoin_request(std::uint32_t epoch, std::uint8_t member) {
   using Mode = StTcpEndpoint::Mode;
   const Mode m = ep_.mode_;
   if (m == Mode::kRejoining || m == Mode::kDead) return;
   if (have_committed_ && epoch == committed_epoch_) return;  // stale retry
   if (m == Mode::kReintegrating && epoch == epoch_) return;  // in progress
-  if (m == Mode::kReintegrating && ep_.group_mode() && member != rejoin_member_) {
+  if (m == Mode::kReintegrating && member != rejoin_member_) {
     return;  // one rejoiner at a time; the other keeps soliciting
   }
   if (m == Mode::kReplicating && ep_.role_ != Role::kPrimary) {
@@ -296,21 +285,20 @@ void Reintegrator::on_rejoin_request(std::uint32_t epoch, int member) {
   epoch_ = epoch;
   attempts_ = 0;
   rejoin_member_ = member;
-  rejoin_ip_ = member >= 0 ? ep_.cfg_.group[static_cast<std::size_t>(member)].ip
-                           : net::Ipv4Addr();
+  rejoin_ip_ = ep_.cfg_.group[member].ip;
+  // The rejoiner's log restarts from our checkpoint: its old acks are void.
+  if (auto* p = ep_.peer_by_member(member)) p->decision_ack = 0;
   begin_reintegration();
 }
 
 void Reintegrator::begin_reintegration() {
   using Mode = StTcpEndpoint::Mode;
   if (ep_.mode_ != Mode::kReintegrating) {
-    // A group leader still replicating to live backups keeps all of its
+    // A leader still replicating to other live followers keeps all of its
     // per-member state: its holds, lag history and seams protect the OTHER
-    // members. Only the pair-survivor / last-man-standing path re-arms from
-    // scratch below.
-    const bool live_group_leader = ep_.group_mode() &&
-                                   ep_.mode_ == Mode::kReplicating &&
-                                   ep_.view_.order.size() > 1;
+    // members. Only the last-one-standing path re-arms from scratch below.
+    const bool live_group_leader = ep_.mode_ == Mode::kReplicating &&
+                                   ep_.live_followers(rejoin_member_) > 0;
     ep_.mode_ = Mode::kReintegrating;
     ep_.role_ = Role::kPrimary;  // the survivor serves; the rejoiner taps
     if (live_group_leader) {
@@ -328,25 +316,17 @@ void Reintegrator::begin_reintegration() {
 
     // Fresh peer-liveness and arbitration state: the rejoiner's heartbeats
     // start the clock over.
-    ep_.last_rx_ip_ = ep_.world_.now();
-    ep_.last_rx_serial_ = ep_.world_.now();
-    ep_.peer_app_suspect_ = false;
-    ep_.peer_ping_fail_streak_ = 0;
-    ep_.ping_loop_active_ = false;
-    ep_.my_ping_valid_ = false;
-    ep_.ping_timer_.cancel();
+    for (auto& p : ep_.peers_) {
+      p.last_rx_ip = ep_.world_.now();
+      p.last_rx_serial = ep_.world_.now();
+      p.app_suspect = false;
+      p.ping_fail_streak = 0;
+    }
+    ep_.stop_ping_loop();
 
     // A former backup's table mixes the dead primary's ids with inferred
     // ids; new registrations must collide with neither range.
-    for (const auto& [id, rc] : ep_.conns_) {
-      if (id < 0x8000) {
-        ep_.next_id_ = std::max<std::uint16_t>(
-            ep_.next_id_, static_cast<std::uint16_t>(id + 1));
-      } else {
-        ep_.next_inferred_id_ = std::max<std::uint16_t>(
-            ep_.next_inferred_id_, static_cast<std::uint16_t>(id + 1));
-      }
-    }
+    ep_.raise_id_cursors();
 
     // Sweep in connections accepted while we ran unprotected (on_accepted
     // ignores them outside replication).
@@ -371,6 +351,7 @@ void Reintegrator::begin_reintegration() {
       rc->lag_received.reset();
       rc->lag_acked.reset();
       rc->peer_valid = false;
+      for (auto& g : rc->gp) g.valid = false;
       if (rc->conn != nullptr) ep_.install_primary_seams(*rc->conn, id);
     }
     ep_.recompute_hold_total();
@@ -410,11 +391,14 @@ void Reintegrator::capture_and_send_snapshot() {
     net::Bytes tx, rx;
   };
   std::vector<Item> items;
+  const int ri = ep_.peer_index_by_ip(rejoin_ip_);
   for (auto& [id, rc] : ep_.conns_) {
     // The snapshot IS the announcement: suppress heartbeat announces for
     // everything present at capture time (including skipped dying
     // connections — the rejoiner must not cold-start replicas for them).
-    rc->announce_confirmed = true;
+    StTcpEndpoint::ReplConn::PeerProgress* g =
+        ri >= 0 ? &rc->gp[static_cast<std::size_t>(ri)] : nullptr;
+    if (g != nullptr) g->echoed = true;
     tcp::TcpConnection* c = rc->conn;
     if (c == nullptr || !c->is_open() || c->fin_generated() ||
         c->rst_generated()) {
@@ -440,6 +424,10 @@ void Reintegrator::capture_and_send_snapshot() {
     rc->p_written = it.written;
     rc->p_read = it.read;
     rc->peer_valid = true;
+    if (g != nullptr) {
+      g->valid = true;
+      g->received = it.received;
+    }
     items.push_back(std::move(it));
   }
 
@@ -539,10 +527,10 @@ void Reintegrator::arm_retry() {
 
 void Reintegrator::abandon() {
   ep_.world_.trace().record(ep_.host_.name(), "reintegration_abandoned");
+  const bool followers = ep_.live_followers(rejoin_member_) > 0;
   rejoin_member_ = -1;
-  rejoin_ip_ = net::Ipv4Addr();
-  if (ep_.group_mode() && ep_.view_.order.size() > 1) {
-    // Other backups still replicate from us: drop back to group leadership
+  if (followers) {
+    // Other followers still replicate from us: drop back to leadership
     // instead of running unprotected. A fresh rejoin_request restarts.
     ep_.log_.warn("reintegration abandoned after ", attempts_,
                   " snapshot attempts; still replicating to live backups");
@@ -559,9 +547,9 @@ void Reintegrator::abandon() {
   // A fresh rejoin_request starts the whole protocol over.
 }
 
-void Reintegrator::on_rejoin_ready(std::uint32_t epoch, int member) {
+void Reintegrator::on_rejoin_ready(std::uint32_t epoch, std::uint8_t member) {
   using Mode = StTcpEndpoint::Mode;
-  if (ep_.group_mode() && member != rejoin_member_) return;
+  if (member != rejoin_member_) return;
   if (ep_.mode_ == Mode::kReintegrating && epoch == epoch_) {
     retry_timer_.cancel();
     ep_.mode_ = Mode::kReplicating;
@@ -584,11 +572,9 @@ void Reintegrator::on_rejoin_ready(std::uint32_t epoch, int member) {
     ep_.world_.trace().record(ep_.host_.name(), "reintegration_complete");
     ep_.log_.info("reintegration complete (epoch ", epoch, "): FT restored");
     send_commit(epoch);
-    if (ep_.group_mode() && member >= 0) {
-      // Admit the rejoiner at the lowest promotion rank and announce the
-      // widened view to every member.
-      ep_.group_commit_rejoin(static_cast<std::uint8_t>(member));
-    }
+    // Admit the rejoiner at the lowest promotion rank and announce the
+    // widened view to every member.
+    ep_.group_commit_rejoin(member);
     return;
   }
   if (have_committed_ && epoch == committed_epoch_) {

@@ -58,15 +58,17 @@ class Reintegrator {
   bool snapshot_applied() const { return applied_; }
 
   // --- survivor side ---------------------------------------------------------
-  /// A peer heartbeat carried rejoin_request. Group mode passes the sender's
-  /// member index (the snapshot targets ITS address; one rejoiner at a time);
-  /// pair mode leaves it at -1 and the peer address is used.
-  void on_rejoin_request(std::uint32_t epoch, int member = -1);
-  /// A peer heartbeat carried rejoin_ready.
-  void on_rejoin_ready(std::uint32_t epoch, int member = -1);
+  /// Member `member`'s heartbeat carried rejoin_request: the snapshot
+  /// targets ITS address, one rejoiner at a time.
+  void on_rejoin_request(std::uint32_t epoch, std::uint8_t member);
+  /// Member `member`'s heartbeat carried rejoin_ready.
+  void on_rejoin_ready(std::uint32_t epoch, std::uint8_t member);
+  /// The member being reintegrated (-1 when none).
+  int rejoin_member() const { return rejoin_member_; }
 
-  /// Control-channel datagrams with type >= kSnapshotBegin land here.
-  void on_control(net::BytesView payload);
+  /// Control-channel datagrams with type >= kSnapshotBegin from `member`
+  /// land here.
+  void on_control(net::BytesView payload, std::uint8_t member);
 
  private:
   // Survivor.
@@ -81,7 +83,7 @@ class Reintegrator {
   void on_snapshot_conn(net::ByteReader& r);
   void on_snapshot_data(net::ByteReader& r);
   void on_snapshot_end(net::ByteReader& r);
-  void on_commit(net::ByteReader& r);
+  void on_commit(net::ByteReader& r, std::uint8_t leader);
   void apply_snapshot();
   void send_control(const net::Bytes& payload);
 
@@ -92,8 +94,7 @@ class Reintegrator {
   std::uint32_t committed_epoch_ = 0;  // survivor: last completed epoch
   bool have_committed_ = false;
   int attempts_ = 0;                   // survivor: snapshots sent this epoch
-  // Group mode, survivor side: which member the snapshot flows to (and its
-  // address). -1 / zero in pair mode — send_control falls back to peer_ip.
+  // Survivor side: which member the snapshot flows to (and its address).
   int rejoin_member_ = -1;
   net::Ipv4Addr rejoin_ip_;
 

@@ -119,24 +119,24 @@ TEST(FaultPlanTest, InjectStampsTimelineWhenMetricsEnabled) {
   EXPECT_EQ(*mark, sim::SimTime::zero() + 40_ms);
 }
 
-TEST(FaultPlanTest, DeprecatedWrappersDelegateToInject) {
-  // The six legacy entry points survive as one-line wrappers; they must
-  // behave exactly like their Fault equivalents, fault_injected stamp
-  // included.
+TEST(FaultPlanTest, EveryInjectionTakesEffectAndIsStamped) {
+  // One scenario takes a NIC failure, a serial cut, a frame-loss burst and a
+  // crash; each lands and each leaves its own fault_injected stamp.
   Scenario sc{ScenarioConfig{}};
-  sc.fail_backup_nic_at(10_ms);
-  sc.fail_serial_at(20_ms);
-  sc.drop_backup_frames_at(30_ms, 5);
-  sc.crash_backup_at(40_ms);
+  sc.inject(Fault::NicFailure(Node::kBackup).at(10_ms));
+  sc.inject(Fault::SerialCut().at(20_ms));
+  sc.inject(Fault::FrameLoss(Node::kBackup, 5).at(30_ms));
+  sc.inject(Fault::Crash(Node::kBackup).at(40_ms));
   sc.run_for(60_ms);
   EXPECT_TRUE(sc.backup().nic().failed());
   EXPECT_TRUE(sc.serial().failed());
   EXPECT_FALSE(sc.backup().alive());
   EXPECT_EQ(sc.world().trace().count("harness", "fault_injected"), 4u);
 
+  // Out-of-order registration: the crash fires after the NIC failure.
   Scenario sc2{ScenarioConfig{}};
-  sc2.crash_primary_at(5_ms);
-  sc2.fail_primary_nic_at(1_ms);
+  sc2.inject(Fault::Crash(Node::kPrimary).at(5_ms));
+  sc2.inject(Fault::NicFailure(Node::kPrimary).at(1_ms));
   sc2.run_for(10_ms);
   EXPECT_TRUE(sc2.primary().nic().failed());
   EXPECT_FALSE(sc2.primary().alive());

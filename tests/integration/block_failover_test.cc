@@ -1,8 +1,11 @@
 // Block-store failover: the full replicated application (BlockStoreServer +
-// BlockWorkload) under the ISSUE's acceptance scenarios — healthy-run
+// BlockWorkload) under its acceptance scenarios — healthy-run
 // byte-determinism, crash mid-transaction, crash mid-writeback, cold-cache
 // takeover latency, reintegration state equality, and the seeded chaos
-// sweep (STTCP_BLOCK_SEEDS scales it; the --app check lane runs 200).
+// sweep at group sizes 2 and 3 (STTCP_BLOCK_SEEDS scales it; the --app
+// check lane runs 200), a second failure while the N = 3 leader streams a
+// snapshot to a rejoiner, plus simultaneous double failures at N = 3
+// (STTCP_MULTI_SEEDS scales them; the --group lane runs 64).
 //
 // Response-exactness is the invariant everywhere: the oracle inside
 // BlockWorkload must never see a mismatched GET, an unpredicted status, a
@@ -12,6 +15,8 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <ostream>
+#include <vector>
 
 #include "app/block_server.h"
 #include "harness/block_workload.h"
@@ -44,6 +49,37 @@ struct Rig {
         [this](net::BytesView d) { b_app.stage_restore(d); });
     sc.register_server_app(Node::kPrimary, &p_app);
     sc.register_server_app(Node::kBackup, &b_app);
+    // One replay replica per extra group backup (backup2, backup3, ...).
+    for (int i = 1; i < sc.backup_count(); ++i) {
+      auto app = std::make_unique<BlockStoreServer>(
+          sc.backup_member_stack(i), sc.service_port(), b_cfg, Mode::kReplay);
+      BlockStoreServer* raw = app.get();
+      sttcp::StTcpEndpoint* ep = sc.backup_member_endpoint(i);
+      ep->set_decision_log(&raw->decisions());
+      ep->set_checkpoint_provider([raw] { return raw->checkpoint(); });
+      ep->set_checkpoint_restorer([raw](net::BytesView d) { raw->stage_restore(d); });
+      sc.register_server_app(i == 1 ? Node::kBackup2 : Node::kBackup3, raw);
+      extra_apps.push_back(std::move(app));
+    }
+  }
+
+  /// Every replica with the host it runs on (primary, backup, backup2, ...).
+  std::vector<std::pair<net::Host*, BlockStoreServer*>> replicas() {
+    std::vector<std::pair<net::Host*, BlockStoreServer*>> out = {
+        {&sc.primary(), &p_app}, {&sc.backup(), &b_app}};
+    for (std::size_t i = 0; i < extra_apps.size(); ++i) {
+      out.emplace_back(&sc.backup_member(static_cast<int>(i) + 1), extra_apps[i].get());
+    }
+    return out;
+  }
+
+  /// Quiesce the serving replica (flush its dirty pages through the
+  /// decision log) and let the final records reach every follower.
+  void quiesce() {
+    for (auto& [host, app] : replicas()) {
+      if (host->alive() && app->decisions().recording()) app->flush_all_dirty();
+    }
+    sc.run_for(sim::Duration::seconds(1));
   }
 
   /// Run until the workload drains (plus a TIME_WAIT margin for the
@@ -59,6 +95,7 @@ struct Rig {
   Scenario sc;
   BlockStoreServer p_app;
   BlockStoreServer b_app;
+  std::vector<std::unique_ptr<BlockStoreServer>> extra_apps;
   BlockWorkload workload;
 };
 
@@ -73,14 +110,30 @@ BlockWorkloadConfig small_workload(BlockStoreConfig& app_cfg) {
   return w;
 }
 
-void expect_clean(const Rig& rig, const std::vector<Violation>& v) {
+void expect_clean(Rig& rig, const std::vector<Violation>& v) {
   for (const Violation& x : v) ADD_FAILURE() << x.str();
   EXPECT_TRUE(rig.workload.drained());
   EXPECT_GT(rig.workload.stats().responses, 0u);
   EXPECT_EQ(rig.workload.stats().mismatches, 0u);
-  // The backup never fell back to generating its own decisions.
-  EXPECT_EQ(rig.p_app.store_stats().replay_mismatch, 0u);
-  EXPECT_EQ(rig.b_app.store_stats().replay_mismatch, 0u);
+  // No replica ever fell back to generating its own decisions.
+  for (auto& [host, app] : rig.replicas()) {
+    EXPECT_EQ(app->store_stats().replay_mismatch, 0u) << host->name();
+  }
+}
+
+/// After quiesce every surviving replica holds the same store, cache and
+/// session state.
+void expect_survivors_agree(Rig& rig) {
+  const BlockStoreServer* first = nullptr;
+  for (auto& [host, app] : rig.replicas()) {
+    if (!host->alive()) continue;
+    if (first == nullptr) {
+      first = app;
+      continue;
+    }
+    EXPECT_EQ(app->store_digest(), first->store_digest()) << host->name();
+    EXPECT_EQ(app->state_digest(), first->state_digest()) << host->name();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -110,6 +163,14 @@ TEST(BlockFailoverTest, HealthyRunIsByteDeterministic) {
   EXPECT_EQ(rig.p_app.store_digest(), rig.b_app.store_digest());
   EXPECT_EQ(rig.p_app.cache_digest(), rig.b_app.cache_digest());
   EXPECT_EQ(rig.p_app.state_digest(), rig.b_app.state_digest());
+  // Pinned literals: primary == backup holds for any build; these fix the
+  // pair's exact served history across builds too.
+  EXPECT_EQ(rig.p_app.store_stats().requests, 168u);
+  EXPECT_EQ(rig.workload.stats().responses, 168u);
+  EXPECT_EQ(rig.p_app.tx_digest(), 0x937ec6e0ba8e8e5aull);
+  EXPECT_EQ(rig.p_app.store_digest(), 0x91c562c8cea90c82ull);
+  EXPECT_EQ(rig.p_app.cache_digest(), 0x32b7b6f752991fdaull);
+  EXPECT_EQ(rig.p_app.state_digest(), 0x44495a6efd35394dull);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,25 +311,39 @@ TEST(BlockFailoverTest, ReintegrationRestoresByteIdenticalStore) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded chaos sweep: a random crash (primary or backup, random time,
-// including mid-transaction and mid-writeback instants) against a running
-// block workload. Response-exactness with zero client resets, every seed.
-// STTCP_BLOCK_SEEDS overrides the sweep width (the --app lane runs 200).
-class BlockChaosSweepTest : public ::testing::TestWithParam<std::uint64_t> {};
+// Seeded chaos sweep: a random crash (any member, random time, including
+// mid-transaction and mid-writeback instants) against a running block
+// workload, at group sizes 2 (the pair) and 3 (one replay replica per extra
+// backup). Response-exactness with zero client resets, every seed, and every
+// surviving replica's store identical at quiesce. STTCP_BLOCK_SEEDS
+// overrides the sweep width (the --app lane runs 200 at both sizes).
+struct SweepCase {
+  int group_size;
+  std::uint64_t seed;
+};
+
+// Test names carry the seed; the instantiation prefix names the group size.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.seed; }
+
+class BlockChaosSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(BlockChaosSweepTest, RandomCrashKeepsResponsesExact) {
-  const std::uint64_t seed = GetParam();
+  const auto [group_size, seed] = GetParam();
   sim::Rng dice(seed * 6151 + 3);
 
   ScenarioConfig scfg;
   scfg.seed = seed;
+  scfg.extra_backups = group_size - 2;
   BlockStoreConfig acfg;
   BlockWorkloadConfig wcfg = small_workload(acfg);
   Rig rig(std::move(scfg), acfg, acfg, wcfg);
   InvariantChecker checker(rig.sc, {});
 
   rig.workload.start();
-  const Node victim = dice.below(4) == 0 ? Node::kBackup : Node::kPrimary;
+  Node victim = dice.below(4) == 0 ? Node::kBackup : Node::kPrimary;
+  if (victim == Node::kBackup && group_size > 2 && dice.below(2) == 0) {
+    victim = Node::kBackup2;
+  }
   // Half the schedules pin the crash just past a writeback tick (the
   // mid-writeback window); the rest land anywhere in the active run.
   sim::Duration when;
@@ -278,27 +353,258 @@ TEST_P(BlockChaosSweepTest, RandomCrashKeepsResponsesExact) {
   } else {
     when = sim::Duration::millis(dice.range(100, 2200));
   }
-  SCOPED_TRACE("crash " + std::string(to_string(victim)) + " at " + when.str() +
-               ", seed " + std::to_string(seed));
+  SCOPED_TRACE("N=" + std::to_string(group_size) + ": crash " +
+               std::string(to_string(victim)) + " at " + when.str() + ", seed " +
+               std::to_string(seed));
   rig.sc.inject(Fault::Crash(victim).at(when));
   rig.run_to_drain(sim::Duration::seconds(90));
+  rig.quiesce();
 
   expect_clean(rig, checker.check(rig.workload));
-  // Exactly one failover action at most (none when the backup died).
+  expect_survivors_agree(rig);
+  EXPECT_EQ(rig.workload.stats().resets, 0u);
+  // Exactly one failover action at most (none when a backup died).
   const auto& tr = rig.sc.world().trace();
-  EXPECT_LE(tr.count("takeover") + tr.count("non_ft_mode"), 1u);
+  EXPECT_LE(tr.count("takeover") + tr.count("non_ft_mode"), 1u) << tr.dump();
 }
 
-std::uint64_t sweep_width() {
-  if (const char* env = std::getenv("STTCP_BLOCK_SEEDS")) {
+std::uint64_t env_width(const char* name, std::uint64_t fallback) {
+  if (const char* env = std::getenv(name)) {
     const long v = std::atol(env);
     if (v > 0) return static_cast<std::uint64_t>(v);
   }
-  return 12;  // modest default; the check lane exports 200
+  return fallback;
+}
+
+// Modest default width; the check lane exports 200.
+std::vector<SweepCase> sweep_cases(int group_size) {
+  std::vector<SweepCase> out;
+  for (std::uint64_t seed = 1; seed <= env_width("STTCP_BLOCK_SEEDS", 12); ++seed) {
+    out.push_back({group_size, seed});
+  }
+  return out;
+}
+
+std::string seed_name(const ::testing::TestParamInfo<SweepCase>& info) {
+  return std::to_string(info.param.seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BlockChaosSweepTest,
-                         ::testing::Range<std::uint64_t>(1, sweep_width() + 1));
+                         ::testing::ValuesIn(sweep_cases(2)), seed_name);
+INSTANTIATE_TEST_SUITE_P(Group3, BlockChaosSweepTest,
+                         ::testing::ValuesIn(sweep_cases(3)), seed_name);
+
+// ---------------------------------------------------------------------------
+// Healthy run at N = 3: both followers replay the leader's decisions, every
+// response is served, and all three stores agree at quiesce.
+TEST(BlockFailoverTest, HealthyGroupOfThreeServesEveryResponse) {
+  ScenarioConfig scfg;
+  scfg.seed = 7;
+  scfg.extra_backups = 1;
+  BlockStoreConfig acfg;
+  Rig rig(std::move(scfg), acfg, acfg, small_workload(acfg));
+  InvariantChecker checker(rig.sc, {});
+
+  rig.workload.start();
+  rig.run_to_drain(sim::Duration::seconds(30));
+  rig.quiesce();
+
+  expect_clean(rig, checker.check(rig.workload));
+  EXPECT_EQ(rig.workload.stats().resets, 0u);
+  EXPECT_EQ(rig.workload.stats().failed, 0u);
+  EXPECT_EQ(rig.p_app.store_stats().requests, rig.b_app.store_stats().requests);
+  EXPECT_EQ(rig.p_app.store_stats().requests,
+            rig.extra_apps[0]->store_stats().requests);
+  EXPECT_EQ(rig.p_app.tx_digest(), rig.extra_apps[0]->tx_digest());
+  EXPECT_EQ(rig.p_app.state_digest(), rig.extra_apps[0]->state_digest());
+  expect_survivors_agree(rig);
+}
+
+// ---------------------------------------------------------------------------
+// A record only one follower holds: rank 1's NIC drops out just before the
+// leader dies, so rank 2 alone receives the leader's last decisions. Rank 2
+// must not consume them (rank 1 never acked them), and once rank 1 is
+// promoted with a shorter prefix rank 2 must drop them — rank 1 renumbers
+// those seqs with its own, different choices.
+TEST(BlockFailoverTest, RecordHeldByOneFollowerIsNeverConsumedAlone) {
+  for (const std::uint64_t seed : {3u, 5u, 9u}) {
+    ScenarioConfig scfg;
+    scfg.seed = seed;
+    scfg.extra_backups = 1;
+    BlockStoreConfig acfg;
+    BlockWorkloadConfig wcfg = small_workload(acfg);
+    wcfg.clients = 12;
+    wcfg.ops_per_session = 40;
+    wcfg.think_mean = sim::Duration::millis(2);
+    Rig rig(std::move(scfg), acfg, acfg, wcfg);
+    InvariantChecker checker(rig.sc, {});
+    SCOPED_TRACE("seed " + std::to_string(seed));
+
+    rig.workload.start();
+    // Mid-run, while decisions flow: rank 1 goes deaf, the leader dies a
+    // few decisions later, rank 1 hears again in time to be promoted.
+    while (rig.p_app.decisions().last_seq() < 300) {
+      rig.sc.run_for(sim::Duration::micros(200));
+    }
+    const sim::Duration now = rig.sc.world().now() - sim::SimTime();
+    rig.sc.inject(Fault::NicFailure(Node::kBackup).at(now));
+    rig.sc.inject(Fault::Crash(Node::kPrimary).at(now + sim::Duration::millis(5)));
+    rig.sc.inject(Fault::NicRestore(Node::kBackup).at(now + sim::Duration::millis(150)));
+    rig.sc.run_for(sim::Duration::millis(20));
+    // Rank 2 holds decisions rank 1 never received, and has not used them.
+    const sttcp::DecisionLog& rank2 = rig.extra_apps[0]->decisions();
+    EXPECT_GT(rank2.rx_cursor(), rig.b_app.decisions().rx_cursor());
+    EXPECT_LE(rank2.consumed_through(), rig.b_app.decisions().rx_cursor());
+
+    rig.run_to_drain(sim::Duration::seconds(90));
+    rig.quiesce();
+
+    expect_clean(rig, checker.check(rig.workload));
+    expect_survivors_agree(rig);
+    EXPECT_EQ(rig.workload.stats().resets, 0u);
+    EXPECT_EQ(rig.sc.world().trace().count("backup", "promoted"), 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A second failure while the leader streams a snapshot to a rejoining
+// follower (rank 1 crashes early and is powered back on while long sessions
+// run; the failure lands as the transfer starts).
+class MidSnapshotRig {
+ public:
+  explicit MidSnapshotRig(std::uint64_t seed)
+      : rig(config(seed), acfg, acfg, workload(acfg)), checker(rig.sc, {}) {}
+
+  /// Run until the leader has started the transfer; returns that instant.
+  sim::Duration start_transfer() {
+    rig.workload.start();
+    rig.sc.inject(Fault::Crash(Node::kBackup).at(sim::Duration::millis(50)));
+    rig.sc.inject(Fault::PowerOn(Node::kBackup).at(sim::Duration::millis(1000)));
+    const auto& tr = rig.sc.world().trace();
+    const sim::SimTime limit = rig.sc.world().now() + sim::Duration::seconds(6);
+    while (tr.count("primary", "reintegration_start") == 0 &&
+           rig.sc.world().now() < limit) {
+      rig.sc.run_for(sim::Duration::micros(50));
+    }
+    return rig.sc.world().now() - sim::SimTime();
+  }
+
+  void finish() {
+    rig.run_to_drain(sim::Duration::seconds(90));
+    rig.quiesce();
+    expect_clean(rig, checker.check(rig.workload));
+    expect_survivors_agree(rig);
+    EXPECT_EQ(rig.workload.stats().resets, 0u);
+  }
+
+  static ScenarioConfig config(std::uint64_t seed) {
+    ScenarioConfig scfg;
+    scfg.seed = seed;
+    scfg.extra_backups = 1;
+    return scfg;
+  }
+  static BlockWorkloadConfig workload(BlockStoreConfig& acfg) {
+    BlockWorkloadConfig wcfg = small_workload(acfg);
+    wcfg.clients = 12;
+    wcfg.ops_per_session = 800;  // sessions span the rejoin
+    wcfg.think_mean = sim::Duration::millis(2);
+    wcfg.duration = sim::Duration::millis(500);
+    return wcfg;
+  }
+
+  BlockStoreConfig acfg;
+  Rig rig;
+  InvariantChecker checker;
+};
+
+// The leader dies mid-transfer. The other follower is still live, so every
+// response the leader released during the transfer must already have been
+// acked by it: the survivor is promoted with a prefix that holds every
+// record behind those responses. rank 2 goes deaf as the transfer starts
+// and the leader dies 2 ms later; responses released in that window
+// without rank 2's ack would carry decisions the promoted rank 2 re-decides
+// with fresh values.
+TEST(BlockFailoverTest, LeaderDyingMidSnapshotLosesNoCommittedDecision) {
+  for (const std::uint64_t seed : {4u, 6u, 11u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MidSnapshotRig m(seed);
+    const sim::Duration now = m.start_transfer();
+    ASSERT_EQ(m.rig.sc.world().trace().count("primary", "reintegration_start"), 1u);
+    m.rig.sc.inject(Fault::NicFailure(Node::kBackup2).at(now));
+    m.rig.sc.inject(Fault::Crash(Node::kPrimary).at(now + sim::Duration::millis(2)));
+    m.rig.sc.inject(
+        Fault::NicRestore(Node::kBackup2).at(now + sim::Duration::millis(150)));
+    // Just before the crash: the leader is still streaming the snapshot,
+    // holds decisions rank 2 never received, and has released none of them.
+    m.rig.sc.run_for(sim::Duration::micros(1990));
+    ASSERT_EQ(m.rig.sc.primary_endpoint()->mode(),
+              sttcp::StTcpEndpoint::Mode::kReintegrating);
+    const sttcp::DecisionLog& rank2 = m.rig.extra_apps[0]->decisions();
+    EXPECT_GT(m.rig.p_app.decisions().last_seq(), rank2.rx_cursor());
+    EXPECT_LE(m.rig.p_app.decisions().commit_through(), rank2.rx_cursor());
+
+    m.finish();
+    EXPECT_EQ(m.rig.sc.world().trace().count("backup2", "promoted"), 1u);
+  }
+}
+
+// The other follower dies mid-transfer. The leader, left with only the
+// rejoiner, commits on its own again, finishes the transfer and keeps
+// every response exact.
+TEST(BlockFailoverTest, FollowerDyingMidSnapshotLeavesLeaderServing) {
+  for (const std::uint64_t seed : {4u, 6u, 11u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MidSnapshotRig m(seed);
+    const sim::Duration now = m.start_transfer();
+    ASSERT_EQ(m.rig.sc.world().trace().count("primary", "reintegration_start"), 1u);
+    m.rig.sc.inject(Fault::Crash(Node::kBackup2).at(now + sim::Duration::millis(1)));
+    m.rig.sc.run_for(sim::Duration::micros(990));
+    ASSERT_EQ(m.rig.sc.primary_endpoint()->mode(),
+              sttcp::StTcpEndpoint::Mode::kReintegrating);
+
+    m.finish();
+    const auto& tr = m.rig.sc.world().trace();
+    EXPECT_EQ(tr.count("takeover"), 0u);
+    EXPECT_EQ(tr.count("backup", "rejoin_complete"), 1u) << tr.dump();
+    EXPECT_TRUE(m.rig.sc.primary_endpoint()->is_group_leader());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Simultaneous double failures at N = 3 (FaultPlan::MultiFailure): the
+// leader and a backup, or both backups, die at one instant. The survivor
+// masks every schedule response-exactly — in particular a record only one
+// follower held can never be consumed there and then renumbered by the
+// other. STTCP_MULTI_SEEDS overrides the width (the --group lane
+// runs 64).
+class BlockMultiFailureTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BlockMultiFailureTest, DoubleFailureAtNThreeIsMasked) {
+  const std::uint64_t seed = GetParam();
+  ScenarioConfig scfg;
+  scfg.seed = seed;
+  scfg.extra_backups = 1;
+  BlockStoreConfig acfg;
+  BlockWorkloadConfig wcfg = small_workload(acfg);
+  Rig rig(std::move(scfg), acfg, acfg, wcfg);
+  InvariantChecker checker(rig.sc, {});
+
+  const FaultPlan plan = FaultPlan::MultiFailure(seed, 2);
+  SCOPED_TRACE("seed " + std::to_string(seed) + ": " + plan.str());
+  rig.workload.start();
+  rig.sc.inject(plan);
+  rig.run_to_drain(sim::Duration::seconds(90));
+  rig.quiesce();
+
+  expect_clean(rig, checker.check(rig.workload));
+  expect_survivors_agree(rig);
+  EXPECT_EQ(rig.workload.stats().resets, 0u);
+  EXPECT_EQ(rig.workload.stats().failed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, BlockMultiFailureTest,
+    ::testing::Range<std::uint64_t>(1, env_width("STTCP_MULTI_SEEDS", 6) + 1));
 
 }  // namespace
 }  // namespace sttcp::harness

@@ -73,9 +73,25 @@ RunRecord failover_run(std::uint64_t seed) {
   return out;
 }
 
+// FNV-1a over the trace dump: pins the whole protocol-milestone trace to
+// one literal.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
+  return h;
+}
+
 TEST(DeterminismTest, FixedSeedFailoverIsBitIdentical) {
   const RunRecord a = failover_run(42);
   const RunRecord b = failover_run(42);
+
+  // Pinned literals: comparing two runs of one binary cannot see a
+  // behaviour change between builds, so the pair's exact frames and trace
+  // are fixed here. Any change to them must be justified, not re-pinned.
+  EXPECT_EQ(a.frames, 5030u);
+  EXPECT_EQ(a.frame_hash, 0x06b10c7f11c0bd18ull);
+  EXPECT_EQ(a.trace.size(), 753u);
+  EXPECT_EQ(fnv1a(a.trace), 0x5feb786096bf9ec1ull) << a.trace;
 
   // The run must actually exercise the interesting machinery.
   ASSERT_EQ(a.client_bytes.size(), 2'000'000u);

@@ -78,6 +78,30 @@ TEST(DecisionLogTest, StandaloneRetainKeepsRecordsForRejoiner) {
   EXPECT_EQ(log.unacked(10).size(), 2u);
 }
 
+TEST(DecisionLogTest, RejoinerPinsRecordsButNotCommit) {
+  // A leader with one live follower and a rejoiner restored at seq 1.
+  DecisionLog log(Mode::kRecord);
+  for (int i = 0; i < 4; ++i) log.choose(DecisionKind::kTime, [] { return 1u; });
+
+  // The follower holds 1..3: commit follows it, but the rejoiner (ack 1)
+  // still needs 2..4, so they stay in the retransmission window.
+  log.on_peer_ack(3, /*held=*/1);
+  EXPECT_EQ(log.commit_through(), 3u);
+  EXPECT_EQ(log.shared_through(), 3u);
+  ASSERT_EQ(log.unacked(10).size(), 3u);
+  EXPECT_EQ(log.unacked(10).front().seq, 2u);
+  // Each member is offered only what lies above its own ack.
+  ASSERT_EQ(log.unacked(10, /*after=*/3).size(), 1u);
+  EXPECT_EQ(log.unacked(10, 3).front().seq, 4u);
+  EXPECT_EQ(log.unacked(1, 1).front().seq, 2u);  // cap honoured
+
+  // The rejoiner catches up: the window trims, commit does not regress.
+  log.on_peer_ack(3, /*held=*/3);
+  EXPECT_EQ(log.commit_through(), 3u);
+  ASSERT_EQ(log.unacked(10).size(), 1u);
+  EXPECT_EQ(log.unacked(10).front().seq, 4u);
+}
+
 TEST(DecisionLogTest, ReplayIngestsInOrderAndConsumesByKind) {
   DecisionLog log(Mode::kReplay);
   int ingests = 0;
@@ -172,6 +196,78 @@ TEST(DecisionLogTest, PromoteKeepsContiguousPrefixAndDropsPastGap) {
   EXPECT_EQ(log.last_seq(), 5u);
   EXPECT_EQ(log.commit_through(), 5u);  // standalone
   EXPECT_EQ(promote_hooks, 1);
+}
+
+TEST(DecisionLogTest, ConsumeLimitHoldsBackRecordsNotYetShared) {
+  DecisionLog log(Mode::kReplay);
+  int pumps = 0;
+  log.set_ingest_hook([&] { ++pumps; });
+  log.ingest({rec(1, DecisionKind::kTime, 10), rec(2, DecisionKind::kTime, 20)});
+  EXPECT_EQ(log.rx_cursor(), 2u);  // the ack covers both: both are held
+
+  // The leader says only seq 1 is held by every live member.
+  log.set_consume_limit(1);
+  std::uint64_t v = 0;
+  EXPECT_TRUE(log.try_take(DecisionKind::kTime, &v));
+  EXPECT_EQ(v, 10u);
+  EXPECT_EQ(log.peek(), nullptr);
+  EXPECT_FALSE(log.try_take(DecisionKind::kTime, &v));
+
+  // Raising the limit re-pumps the application.
+  const int before = pumps;
+  log.set_consume_limit(2);
+  EXPECT_EQ(pumps, before + 1);
+  EXPECT_TRUE(log.try_take(DecisionKind::kTime, &v));
+  EXPECT_EQ(v, 20u);
+}
+
+TEST(DecisionLogTest, TruncateAboveDropsUnconsumedRecordsOnly) {
+  DecisionLog log(Mode::kReplay);
+  log.ingest({rec(1, DecisionKind::kTime, 1), rec(2, DecisionKind::kTime, 2),
+              rec(3, DecisionKind::kTime, 3), rec(5, DecisionKind::kTime, 5)});
+  std::uint64_t v = 0;
+  ASSERT_TRUE(log.try_take(DecisionKind::kTime, &v));
+  ASSERT_TRUE(log.try_take(DecisionKind::kTime, &v));
+  EXPECT_EQ(log.consumed_through(), 2u);
+
+  // A new leader kept only seq <= 1: consumed records stay consumed, the
+  // queued seq 3 and the parked seq 5 go.
+  log.truncate_above(1);
+  EXPECT_EQ(log.rx_cursor(), 2u);
+  EXPECT_EQ(log.peek(), nullptr);
+  // Its numbering continues at 3 with different values, accepted as new.
+  log.ingest({rec(3, DecisionKind::kTime, 33), rec(4, DecisionKind::kTime, 44)});
+  EXPECT_EQ(log.rx_cursor(), 4u);
+  ASSERT_TRUE(log.try_take(DecisionKind::kTime, &v));
+  EXPECT_EQ(v, 33u);
+}
+
+TEST(DecisionLogTest, PromoteWithFollowersReoffersPrefixAndWaitsForAcks) {
+  DecisionLog log(Mode::kReplay);
+  log.ingest({rec(1, DecisionKind::kTime, 1), rec(2, DecisionKind::kTime, 2),
+              rec(3, DecisionKind::kTime, 3), rec(6, DecisionKind::kTime, 6)});
+  std::uint64_t v = 0;
+  ASSERT_TRUE(log.try_take(DecisionKind::kTime, &v));
+
+  log.promote(/*followers=*/true);
+  EXPECT_TRUE(log.recording());
+  EXPECT_FALSE(log.standalone());
+  EXPECT_EQ(log.kept_prefix(), 3u);
+  EXPECT_EQ(log.shared_through(), 3u);
+  // The unconsumed kept prefix is offered again; nothing is committed yet.
+  const auto offered = log.unacked(10);
+  ASSERT_EQ(offered.size(), 2u);
+  EXPECT_EQ(offered[0].seq, 2u);
+  EXPECT_EQ(offered[1].seq, 3u);
+  EXPECT_EQ(log.commit_through(), 0u);
+  // Fresh numbering resumes right after the prefix, not above the parked 6.
+  log.choose(DecisionKind::kTime, [] { return 2u; });  // drains seq 2
+  log.choose(DecisionKind::kTime, [] { return 3u; });  // drains seq 3
+  log.choose(DecisionKind::kTime, [] { return 77u; });
+  EXPECT_EQ(log.last_seq(), 4u);
+  log.on_peer_ack(4);
+  EXPECT_EQ(log.commit_through(), 4u);
+  EXPECT_EQ(log.shared_through(), 4u);
 }
 
 TEST(DecisionLogTest, PromoteIsIdempotent) {

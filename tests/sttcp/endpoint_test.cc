@@ -336,5 +336,44 @@ TEST(EndpointTest, LongFailureFreeSoakNeverMisfires) {
   EXPECT_TRUE(sc.backup().alive());
 }
 
+// A view order off the wire indexes the roster: a member beyond it (or a
+// repeat) must be refused and counted, never adopted — adopting {0, 7} would
+// fence the receiver and later index cfg.group[7].
+TEST(EndpointTest, ForgedViewOrdersAreRejectedAndCounted) {
+  ScenarioConfig cfg;
+  cfg.extra_backups = 1;
+  Scenario sc(std::move(cfg));
+  sc.run_for(sim::Duration::seconds(1));
+  StTcpEndpoint* b = sc.backup_endpoint();
+  const std::uint32_t epoch = b->view().epoch;
+  const std::uint64_t hb_bad = b->stats().hb_malformed;
+  const std::uint64_t ctl_bad = b->stats().control_malformed;
+
+  // Both forgeries come from backup2's address, a genuine roster member.
+  net::Host& forger = sc.backup_member(1);
+  HeartbeatMsg hb;
+  hb.role = Role::kBackup;
+  hb.hb_seq = 1'000'000;
+  hb.group_valid = true;
+  hb.member = 2;
+  hb.view_epoch = epoch + 10;
+  hb.view_order = {0, 7};
+  const std::uint16_t hb_port = sc.config().sttcp.hb_port;
+  const std::uint16_t ctl_port = sc.config().sttcp.control_port;
+  forger.udp_send(sc.backup_member_ip(1), hb_port, sc.backup_ip(), hb_port,
+                  hb.serialize());
+  ViewAnnounce va;
+  va.epoch = epoch + 11;
+  va.order = {5, 1};
+  forger.udp_send(sc.backup_member_ip(1), ctl_port, sc.backup_ip(), ctl_port,
+                  va.serialize());
+  sc.run_for(sim::Duration::millis(50));
+
+  EXPECT_EQ(b->view().epoch, epoch);
+  EXPECT_EQ(b->mode(), StTcpEndpoint::Mode::kReplicating);
+  EXPECT_EQ(b->stats().hb_malformed, hb_bad + 1);
+  EXPECT_EQ(b->stats().control_malformed, ctl_bad + 1);
+}
+
 }  // namespace
 }  // namespace sttcp::sttcp

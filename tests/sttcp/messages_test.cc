@@ -180,6 +180,44 @@ TEST(HeartbeatMsgTest, ImpossibleRecordCountRejected) {
   EXPECT_FALSE(HeartbeatMsg::parse(w).has_value());
 }
 
+TEST(HeartbeatMsgTest, GroupBlockRoundTripsAndRejectsRepeatedMembers) {
+  HeartbeatMsg m;
+  m.group_valid = true;
+  m.member = 2;
+  m.view_epoch = 7;
+  m.view_order = {2, 0};
+  m.decision_base = 40;
+  m.decision_shared = 55;
+  auto p = HeartbeatMsg::parse(m.serialize());
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->view_order, m.view_order);
+  EXPECT_EQ(p->decision_base, 40u);
+  EXPECT_EQ(p->decision_shared, 55u);
+
+  // A member listed twice is no rank order: the codec refuses it.
+  m.view_order = {1, 2, 1};
+  EXPECT_FALSE(HeartbeatMsg::parse(m.serialize()).has_value());
+}
+
+TEST(ControlMsgTest, ViewAnnounceRejectsRepeatedMembers) {
+  ViewAnnounce va;
+  va.epoch = 3;
+  va.order = {0, 2};
+  auto p = ControlMsg::parse(va.serialize());
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->view_announce.order, va.order);
+
+  va.order = {2, 2};
+  EXPECT_FALSE(ControlMsg::parse(va.serialize()).has_value());
+}
+
+TEST(GroupViewTest, ValidOrderBoundsMembersByRoster) {
+  EXPECT_TRUE(GroupView::valid_order({0, 1, 2}, 3));
+  EXPECT_TRUE(GroupView::valid_order({}, 3));
+  EXPECT_FALSE(GroupView::valid_order({0, 3}, 3));
+  EXPECT_FALSE(GroupView::valid_order({1, 0, 1}, 3));
+}
+
 TEST(ControlMsgTest, RandomGarbageNeverParsesOrThrows) {
   sim::Rng rng(4242);
   for (int trial = 0; trial < 5000; ++trial) {
