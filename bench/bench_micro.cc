@@ -7,7 +7,7 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 #include "net/checksum.h"
 #include "net/nic.h"
 #include "net/switch.h"
@@ -20,6 +20,9 @@
 
 namespace sttcp {
 namespace {
+
+using harness::Cell;
+using harness::Topology;
 
 // Figure-2-shaped fan-out rig: one sender NIC and `receivers` NICs hang off
 // one switch; a static multicast group fans every sender frame out to all
@@ -341,15 +344,17 @@ void BM_SimulatedTransferThroughput(benchmark::State& state) {
   std::uint64_t bytes = 0;
   for (auto _ : state) {
     harness::ScenarioConfig cfg;
-    harness::Scenario sc(std::move(cfg));
-    app::FileServer p(sc.primary_stack(), sc.service_port(), 10'000'000);
-    app::FileServer b(sc.backup_stack(), sc.service_port(), 10'000'000);
+    auto topo = harness::build_figure2(cfg);
+    Cell& cell = topo->cell();
+    Topology::HostEntry& client_host = *topo->host_by_name("client");
+    app::FileServer p(cell.primary_stack(), cell.service_port(), 10'000'000);
+    app::FileServer b(cell.backup_stack(), cell.service_port(), 10'000'000);
     app::DownloadClient::Options opt;
     opt.expected_bytes = 10'000'000;
-    app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                               {sc.connect_addr()}, opt);
+    app::DownloadClient client(*client_host.stack, client_host.ip,
+                               {cell.connect_addr()}, opt);
     client.start();
-    sc.run_for(sim::Duration::seconds(10));
+    topo->run_for(sim::Duration::seconds(10));
     bytes += client.received();
     benchmark::DoNotOptimize(client.complete());
   }

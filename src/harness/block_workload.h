@@ -41,8 +41,6 @@
 
 namespace sttcp::harness {
 
-class Scenario;
-
 struct BlockWorkloadConfig {
   /// Closed-loop population; client i owns blocks
   /// [i * blocks_per_client, (i+1) * blocks_per_client).
@@ -76,7 +74,6 @@ class BlockWorkload {
     std::uint64_t unknown_marks = 0;  // mutations orphaned by a dead conn
   };
 
-  BlockWorkload(Scenario& sc, BlockWorkloadConfig cfg);
   BlockWorkload(sim::World& world, tcp::TcpStack& stack,
                 net::Ipv4Addr client_ip, net::SocketAddr server,
                 BlockWorkloadConfig cfg);

@@ -7,7 +7,7 @@
 #include "app/client.h"
 #include "app/server.h"
 #include "harness/invariants.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 #include "sim/event_loop.h"
 
 namespace sttcp::harness {
@@ -36,7 +36,7 @@ constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 
 Explorer::Explorer(ExploreOptions opts) : opts_(opts) {}
 
-std::uint64_t Explorer::state_digest(sim::EventLoop& loop, Scenario& sc,
+std::uint64_t Explorer::state_digest(sim::EventLoop& loop, Topology& topo,
                                      const app::DownloadClient& client) {
   std::uint64_t h = kFnvBasis;
   // Pending events as offsets from now. Sequence numbers are excluded: they
@@ -49,18 +49,19 @@ std::uint64_t Explorer::state_digest(sim::EventLoop& loop, Scenario& sc,
   h = fnv_mix(h, client.received());
   // Liveness bitmap: client, primary, backups..., gateway. At one backup the
   // layout (and every later mix) is bit-identical to the historic pair form.
+  Cell& cell = topo.cell();
+  Topology::HostEntry& client_host = *topo.host_by_name("client");
   std::uint64_t alive =
-      (sc.client().alive() ? 1u : 0u) | (sc.primary().alive() ? 2u : 0u);
+      (client_host.host->alive() ? 1u : 0u) | (cell.primary().alive() ? 2u : 0u);
   std::uint64_t bit = 4;
-  for (int b = 0; b < sc.backup_count(); ++b, bit <<= 1) {
-    if (sc.backup_member(b).alive()) alive |= bit;
+  for (int b = 0; b < cell.backup_count(); ++b, bit <<= 1) {
+    if (cell.backup_host(b).alive()) alive |= bit;
   }
-  if (sc.gateway().alive()) alive |= bit;
+  if (topo.host_by_name("gateway")->host->alive()) alive |= bit;
   h = fnv_mix(h, alive);
-  std::vector<tcp::TcpStack*> stacks = {&sc.client_stack(),
-                                        &sc.primary_stack()};
-  for (int b = 0; b < sc.backup_count(); ++b) {
-    stacks.push_back(&sc.backup_member_stack(b));
+  std::vector<tcp::TcpStack*> stacks = {client_host.stack.get(), &cell.primary_stack()};
+  for (int b = 0; b < cell.backup_count(); ++b) {
+    stacks.push_back(&cell.backup_stack(b));
   }
   for (tcp::TcpStack* s : stacks) {
     h = fnv_mix(h, s->connection_count());
@@ -69,15 +70,15 @@ std::uint64_t Explorer::state_digest(sim::EventLoop& loop, Scenario& sc,
   }
   // Failover mode markers: these trace events fire at most once per run, so
   // their counts are state, not history.
-  h = fnv_mix(h, sc.world().trace().count("takeover"));
-  h = fnv_mix(h, sc.world().trace().count("stonith"));
-  h = fnv_mix(h, sc.world().trace().count("non_ft_mode"));
-  if (sc.backup_count() > 1) {
+  h = fnv_mix(h, topo.world().trace().count("takeover"));
+  h = fnv_mix(h, topo.world().trace().count("stonith"));
+  h = fnv_mix(h, topo.world().trace().count("non_ft_mode"));
+  if (cell.backup_count() > 1) {
     // Promotion-race markers (wide rosters only, so pair digests are
     // unchanged): these distinguish "convicted, racing" from "promoted".
-    h = fnv_mix(h, sc.world().trace().count("member_convicted"));
-    h = fnv_mix(h, sc.world().trace().count("promoted"));
-    h = fnv_mix(h, sc.world().trace().count("view_announced"));
+    h = fnv_mix(h, topo.world().trace().count("member_convicted"));
+    h = fnv_mix(h, topo.world().trace().count("promoted"));
+    h = fnv_mix(h, topo.world().trace().count("view_announced"));
   }
   return h;
 }
@@ -89,31 +90,33 @@ Explorer::TrialResult Explorer::run_trial(std::vector<std::uint8_t>& choices,
   cfg.seed = opts_.seed;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
   cfg.extra_backups = opts_.extra_backups;
-  Scenario sc(std::move(cfg));
+  auto topo = build_figure2(cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
 
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), opts_.file_size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), opts_.file_size);
   std::vector<std::unique_ptr<app::FileServer>> b_apps;
-  for (int b = 0; b < sc.backup_count(); ++b) {
+  for (int b = 0; b < cell.backup_count(); ++b) {
     b_apps.push_back(std::make_unique<app::FileServer>(
-        sc.backup_member_stack(b), sc.service_port(), opts_.file_size));
+        cell.backup_stack(b), cell.service_port(), opts_.file_size));
   }
   app::DownloadClient::Options copt;
   copt.expected_bytes = opts_.file_size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, copt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, copt);
 
   InvariantChecker::Options iopt;
   iopt.expected_bytes = opts_.file_size;
   iopt.expect_masked = true;
-  InvariantChecker checker(sc, iopt);
+  InvariantChecker checker(*topo, iopt);
 
-  sc.inject(Fault::Crash(Node::kPrimary).at(opts_.crash_at));
+  topo->inject(Fault::Crash(Node::kPrimary).at(opts_.crash_at));
   if (opts_.crash_rank1) {
-    sc.inject(Fault::Crash(Node::kBackup).at(opts_.crash_at));
+    topo->inject(Fault::Crash(Node::kBackup).at(opts_.crash_at));
   }
   client.start();
 
-  sim::EventLoop& loop = sc.world().loop();
+  sim::EventLoop& loop = topo->world().loop();
   const sim::SimTime t0 = loop.now();
   const sim::SimTime win_start = t0 + opts_.crash_at + opts_.margin;
   sim::SimTime win_end = win_start + opts_.window;
@@ -125,7 +128,7 @@ Explorer::TrialResult Explorer::run_trial(std::vector<std::uint8_t>& choices,
   std::size_t depth = 0;
   bool takeover_seen = false;
   while (true) {
-    if (!takeover_seen && sc.world().trace().count("takeover") > 0) {
+    if (!takeover_seen && topo->world().trace().count("takeover") > 0) {
       takeover_seen = true;
       const sim::SimTime tail_end = loop.now() + opts_.takeover_tail;
       if (tail_end < win_end) win_end = tail_end;
@@ -140,7 +143,7 @@ Explorer::TrialResult Explorer::run_trial(std::vector<std::uint8_t>& choices,
         pick = choices[depth];
         ++depth;
       } else if (extend) {
-        const std::uint64_t d = state_digest(loop, sc, client);
+        const std::uint64_t d = state_digest(loop, *topo, client);
         if (seen_.insert(d).second) {
           choices.push_back(0);
           branches.push_back(static_cast<std::uint8_t>(branch));
@@ -163,9 +166,9 @@ Explorer::TrialResult Explorer::run_trial(std::vector<std::uint8_t>& choices,
   // Post-window: the schedule is fixed; let the failover finish normally.
   const sim::SimTime deadline = loop.now() + opts_.run_cap;
   while (!client.complete() && loop.now() < deadline) {
-    sc.run_for(sim::Duration::millis(250));
+    topo->run_for(sim::Duration::millis(250));
   }
-  sc.run_for(sim::Duration::seconds(1));
+  topo->run_for(sim::Duration::seconds(1));
 
   TrialResult r;
   r.complete = client.complete();
@@ -175,8 +178,8 @@ Explorer::TrialResult Explorer::run_trial(std::vector<std::uint8_t>& choices,
   std::uint64_t h = kFnvBasis;
   h = fnv_mix(h, client.received());
   h = fnv_mix(h, r.complete ? 1 : 0);
-  h = fnv_mix(h, sc.world().trace().count("takeover"));
-  h = fnv_mix(h, sc.world().trace().count("non_ft_mode"));
+  h = fnv_mix(h, topo->world().trace().count("takeover"));
+  h = fnv_mix(h, topo->world().trace().count("non_ft_mode"));
   h = fnv_mix(h, static_cast<std::uint64_t>(
                      (loop.now() - sim::SimTime::zero()).ns()));
   for (const std::string& v : r.violations) h = fnv_mix(h, v);

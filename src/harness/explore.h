@@ -35,7 +35,7 @@ class EventLoop;
 
 namespace sttcp::harness {
 
-class Scenario;
+class Topology;
 
 struct ExploreOptions {
   std::uint64_t seed = 1;
@@ -133,7 +133,7 @@ class Explorer {
   /// failover mode markers. Schedule-history artifacts (sequence numbers,
   /// trace length) are deliberately excluded so converging interleavings
   /// collide and prune.
-  static std::uint64_t state_digest(sim::EventLoop& loop, Scenario& sc,
+  static std::uint64_t state_digest(sim::EventLoop& loop, Topology& topo,
                                     const app::DownloadClient& client);
 
   ExploreOptions opts_;

@@ -1,12 +1,16 @@
-// Composable fault injection for Scenario.
+// Composable fault injection for any Topology.
 //
 // Faults are values: a factory names WHAT fails, builders say WHEN and how
-// often, and Scenario::inject() arms it against the live topology:
+// often, and Topology::inject() arms it against the live topology:
 //
 //   using namespace sttcp::sim::literals;
-//   scenario.inject(Fault::Crash(Node::kPrimary).at(2_s));
-//   scenario.inject(Fault::FrameLoss(Node::kBackup, 40).at(1_s).repeat(3, 500_ms));
-//   scenario.inject(Fault::LinkFlap(Node::kClient, 200_ms).at(4_s));
+//   topo->inject(Fault::Crash(Node::kPrimary).at(2_s));
+//   topo->inject(Fault::FrameLoss(Node::kBackup, 40).at(1_s).repeat(3, 500_ms));
+//   topo->inject(Fault::LinkFlap(Node::kClient, 200_ms).at(4_s));
+//
+// A Node names a member of cell 0 or one of the hosts named "client" and
+// "gateway" — the Figure-2 recipe (build_figure2) builds exactly those, and
+// any other topology that names its hosts so is a target too.
 //
 // Every injection stamps the fault_injected trace event and (when telemetry
 // is enabled) the obs::FailoverTimeline kFaultInjected milestone, so the
@@ -24,13 +28,13 @@
 
 namespace sttcp::harness {
 
-class Scenario;
+class Topology;
 
 /// The four machines of the Figure-2 topology (the serial cable is addressed
 /// by the Serial* faults; the optional logger host is not a fault target).
-/// kBackup2/kBackup3 address the extra replication-group backups of an
-/// extra_backups > 0 scenario; on a classic pair they alias kBackup so a
-/// group schedule stays injectable as a negative control.
+/// kBackup2/kBackup3 address the extra replication-group backups of a cell
+/// with extra_backups > 0; on a classic pair they alias kBackup so a group
+/// schedule stays injectable as a negative control.
 enum class Node { kClient, kPrimary, kBackup, kGateway, kBackup2, kBackup3 };
 
 const char* to_string(Node n);
@@ -90,13 +94,13 @@ class Fault {
   static Fault SlowNic(Node n, double p, sim::Duration window);
   /// Application hang (paper §4.2): the node's server process stops
   /// consuming and producing, sockets stay open, the stack and heartbeat
-  /// daemon keep running. Requires Scenario::register_server_app(n, ...);
+  /// daemon keep running. Requires Topology::register_server_app(n, ...);
   /// a no-op (with a trace record) when no app is registered for the node.
   static Fault AppHang(Node n);
-  /// Escape hatch: run an arbitrary action against the scenario. The label
+  /// Escape hatch: run an arbitrary action against the topology. The label
   /// appears in the trace; used by the bench harness for app-level faults
   /// (hang, clean close, abort) that are not topology events.
-  static Fault Custom(std::string label, std::function<void(Scenario&)> action);
+  static Fault Custom(std::string label, std::function<void(Topology&)> action);
 
   /// Fire at `t` (relative to injection time; default: immediately).
   Fault at(sim::Duration t) const;
@@ -109,11 +113,11 @@ class Fault {
   sim::Duration interval() const { return interval_; }
 
  private:
-  friend class Scenario;
+  friend class Topology;
   Fault() = default;
 
   std::string label_;
-  std::function<void(Scenario&)> action_;
+  std::function<void(Topology&)> action_;
   sim::Duration at_ = sim::Duration::zero();
   int times_ = 1;
   sim::Duration interval_ = sim::Duration::zero();

@@ -203,6 +203,24 @@ std::string Topology::metrics_json() {
   return metrics_->json();
 }
 
+void Topology::inject(Fault fault) {
+  const int times = fault.times_ < 1 ? 1 : fault.times_;
+  for (int i = 0; i < times; ++i) {
+    const sim::Duration when = fault.at_ + fault.interval_ * i;
+    world().loop().schedule_after(when, [this, fault] {
+      world().trace().record("harness", "fault_injected", fault.label_);
+      if (metrics_ != nullptr) {
+        metrics_->timeline().mark(obs::Milestone::kFaultInjected, world().now());
+      }
+      fault.action_(*this);
+    });
+  }
+}
+
+void Topology::inject(const FaultPlan& plan) {
+  for (const Fault& f : plan.faults()) inject(f);
+}
+
 // --- TopologyBuilder --------------------------------------------------------
 
 TopologyBuilder::TopologyBuilder(TopologyConfig cfg)
@@ -432,15 +450,95 @@ std::unique_ptr<Topology> TopologyBuilder::build() {
     }
   }
 
-  // Stacks, then cells, in creation order — this is the classic Scenario's
-  // RNG fork order for a 1-cell topology (client stack, then serial +
-  // primary/backup stacks + endpoints).
+  // Stacks, then cells, in creation order — for the Figure-2 recipe: client
+  // stack, then serial + member stacks + endpoints.
   for (Topology::HostEntry& h : t.hosts_) {
     if (h.with_stack) h.stack = std::make_unique<tcp::TcpStack>(*h.host, t.cfg_.tcp);
   }
   for (auto& c : t.cells_) c->start();
 
   return std::move(topo_);
+}
+
+// --- Figure-2 recipe ---------------------------------------------------------
+
+ScenarioConfig ScenarioConfig::Paper2005() {
+  ScenarioConfig cfg;
+  cfg.link_latency = sim::Duration::micros(50);
+  cfg.link_bandwidth_bps = 100'000'000;  // Fast Ethernet
+  cfg.serial_baud = 115200;
+  cfg.sttcp.hb_period = sim::Duration::millis(200);
+  cfg.sttcp.hb_miss_threshold = 3;
+  return cfg;
+}
+
+ScenarioConfig ScenarioConfig::FastNet() {
+  ScenarioConfig cfg;
+  cfg.link_latency = sim::Duration::micros(5);
+  cfg.link_bandwidth_bps = 1'000'000'000;  // gigabit
+  cfg.serial_baud = 1'000'000;
+  cfg.sttcp.hb_period = sim::Duration::millis(50);
+  cfg.sttcp.hb_miss_threshold = 3;
+  return cfg;
+}
+
+std::unique_ptr<Topology> build_figure2(const ScenarioConfig& cfg) {
+  const net::Ipv4Addr logger_ip{10, 0, 0, 9};
+
+  TopologyConfig tc;
+  tc.seed = cfg.seed;
+  tc.link_latency = cfg.link_latency;
+  tc.link_bandwidth_bps = cfg.link_bandwidth_bps;
+  tc.serial_baud = cfg.serial_baud;
+  tc.tcp = cfg.tcp;
+  tc.sttcp = cfg.sttcp;
+  tc.enable_sttcp = cfg.enable_sttcp;
+  if (cfg.enable_logger) tc.logger_ip = logger_ip;
+  tc.log_out = cfg.log_out;
+  tc.log_level = cfg.log_level;
+  tc.enable_metrics = cfg.enable_metrics;
+  tc.pcap_path = cfg.pcap_path;
+
+  // Call order fixes the RNG forks: links client, primary, backup(s),
+  // gateway, [logger]; then stacks client, members; then endpoint start.
+  // Cell 0's defaults are the paper's addresses, MACs and multiEA.
+  TopologyBuilder b(std::move(tc));
+  const int lan = b.add_switch("switch");
+
+  HostOptions client_opt;
+  client_opt.mac = net::MacAddr::from_u64(0x020000000001ull);
+  client_opt.with_stack = true;
+  b.add_host("client", {10, 0, 0, 1}, lan, client_opt);
+
+  CellConfig cc;
+  cc.backup_link_bandwidth_bps = cfg.backup_link_bandwidth_bps;
+  cc.primary_cpu_packet_time = cfg.primary_cpu_packet_time;
+  cc.backup_cpu_packet_time = cfg.backup_cpu_packet_time;
+  cc.extra_backups = cfg.extra_backups;
+  b.add_cell(lan, cc);
+
+  HostOptions gw_opt;
+  gw_opt.mac = net::MacAddr::from_u64(0x0200000000feull);
+  b.add_host("gateway", {10, 0, 0, 254}, lan, gw_opt);
+
+  // The §4.3 stream logger joins the multicast group, so it taps the same
+  // client traffic as the servers. It owns the service alias too, so tapped
+  // client->service packets pass its IP filter (a real tap would capture
+  // promiscuously; the alias is the simulator's equivalent).
+  if (cfg.enable_logger) {
+    HostOptions lg_opt;
+    lg_opt.mac = net::MacAddr::from_u64(0x020000000009ull);
+    const int idx = b.add_host("logger", logger_ip, lan, lg_opt);
+    Topology::HostEntry& lh = b.topology().host(static_cast<std::size_t>(idx));
+    Cell& c = b.topology().cell(0);
+    lh.host->add_ip(c.service_ip());
+    lh.host->nic().subscribe_multicast(c.multicast_mac());
+    std::vector<int> ports = {c.primary_port()};
+    for (int i = 0; i < c.backup_count(); ++i) ports.push_back(c.backup_switch_port(i));
+    ports.push_back(lh.port);
+    b.topology().ethernet_switch().add_multicast_group(c.multicast_mac(), ports);
+  }
+  return b.build();
 }
 
 // --- ShardDirector ----------------------------------------------------------

@@ -1,5 +1,5 @@
-// Composable topology: the harness layer that turns one Figure-2 cell into
-// a routed, sharded fabric.
+// Composable topology: the harness's one way to build a world, from the
+// paper's Figure-2 LAN to a routed, sharded fabric.
 //
 //   TopologyBuilder b(cfg);
 //   int lan  = b.add_switch("lan");
@@ -8,13 +8,20 @@
 //   b.add_host("gateway", {10,0,0,254}, lan);
 //   auto topo = b.build();                     // ARP, routes, stacks, start
 //
-// Layering (docs/ARCHITECTURE.md):
+// build_figure2(ScenarioConfig) is that recipe for the paper's testbed
+// (docs/ARCHITECTURE.md):
 //
-//   Scenario (compat facade)      <- existing tests/benches, unchanged
-//        |
-//   TopologyBuilder / Topology    <- this file: switches, routers, cells
-//        |
-//   Cell (harness/cell.h)         <- one ST-TCP pair, stamped N times
+//                    ┌────────┐
+//   client ──────────┤        ├────────── primary ──┐
+//                    │ switch │                     │ serial (RS-232
+//   gateway ─────────┤        ├────────── backup  ──┘  null-modem)
+//                    └────────┘
+//
+// Layering:
+//
+//   TopologyBuilder / Topology    <- this file: switches, routers, cells,
+//        |                           fault injection (harness/fault.h)
+//   Cell (harness/cell.h)         <- one ST-TCP pair or group, stamped N times
 //        |
 //   net/ (switch, link, router, host), tcp/, sttcp/
 //
@@ -30,14 +37,14 @@
 //     egress port — how the ST-TCP tap crosses subnets, see
 //     docs/ROUTING.md);
 //   * TCP stacks for stack-bearing hosts, then Cell::start() per cell, in
-//     creation order — reproducing the classic Scenario fork order for a
-//     1-cell build.
+//     creation order.
 //
 // ShardDirector is the front end: a consistent-hash ring mapping client
 // flows onto the cells' service addresses. It is control-plane only — the
 // simulated packets just use the address it returns.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -45,6 +52,7 @@
 #include <vector>
 
 #include "harness/cell.h"
+#include "harness/fault.h"
 #include "net/host.h"
 #include "net/link.h"
 #include "net/router.h"
@@ -54,6 +62,10 @@
 #include "obs/pcap.h"
 #include "sim/parallel.h"
 #include "tcp/stack.h"
+
+namespace sttcp::app {
+class ServerApp;
+}
 
 namespace sttcp::harness {
 
@@ -71,7 +83,7 @@ struct TopologyConfig {
   sttcp::StTcpConfig sttcp;
   bool enable_sttcp = true;
   /// Stream-logger address cells should replay from (zero = no logger; the
-  /// logger host itself is wired by the owner — see Scenario).
+  /// logger host itself is wired by the owner — see build_figure2).
   net::Ipv4Addr logger_ip;
 
   std::ostream* log_out = nullptr;
@@ -182,11 +194,30 @@ class Topology {
   obs::MetricsRegistry* metrics() { return metrics_.get(); }
   obs::PcapWriter* pcap() { return pcap_.get(); }
   /// Snapshot cumulative Stats (links, switches, routers, serials, stacks,
-  /// endpoints) into the registry. Names match the classic Scenario for a
-  /// 1-cell topology ("net.link.primary", "net.switch.forwarded", ...);
-  /// extra switches/cells/routers get name-qualified prefixes.
+  /// endpoints) into the registry. A 1-cell topology gets the classic
+  /// names ("net.link.primary", "net.switch.forwarded", ...); extra
+  /// switches/cells/routers get name-qualified prefixes.
   void export_metrics();
   std::string metrics_json();
+
+  // --- failure injection --------------------------------------------------
+  /// Arm a fault (harness/fault.h) on shard 0's clock. Each firing stamps
+  /// the "fault_injected" trace event and the kFaultInjected timeline
+  /// milestone. Node targets resolve to cell 0's members and to the hosts
+  /// named "client" and "gateway".
+  void inject(Fault fault);
+  void inject(const FaultPlan& plan);
+
+  /// Make the node's server application addressable by application-level
+  /// faults (Fault::AppHang). The caller keeps ownership; the pointer must
+  /// outlive the run. At most one app per node; re-registering replaces.
+  void register_server_app(Node n, app::ServerApp* app) {
+    server_apps_[static_cast<std::size_t>(n)] = app;
+  }
+  /// The registered app for `n`, or null.
+  app::ServerApp* server_app(Node n) {
+    return server_apps_[static_cast<std::size_t>(n)];
+  }
 
   /// Create a Link with topology defaults in the build-current shard's
   /// world, bind its metrics (shard 0 only), take ownership and return it.
@@ -232,6 +263,7 @@ class Topology {
   std::vector<std::unique_ptr<Cell>> cells_;       // last: reference all the above
   int threads_ = 1;
   std::unique_ptr<sim::ParallelExecutor> executor_;  // built on first sharded run
+  std::array<app::ServerApp*, 6> server_apps_{};     // indexed by Node
 };
 
 /// Eager builder: components exist (and fork the world RNG) in call order.
@@ -294,6 +326,66 @@ class TopologyBuilder {
   int auto_host_macs_ = 0;
   bool built_ = false;
 };
+
+/// The Figure-2 recipe's knobs (build_figure2).
+struct ScenarioConfig {
+  std::uint64_t seed = 1;
+
+  // Network fabric.
+  sim::Duration link_latency = sim::Duration::micros(50);
+  std::uint64_t link_bandwidth_bps = 100'000'000;  // Fast Ethernet, as in 2005
+  /// Override for the backup's port (0 = same as link_bandwidth_bps).
+  /// Models the original prototype's mitigation of the tap overload:
+  /// "adding an additional NIC and CPU" on the backup (paper §3).
+  std::uint64_t backup_link_bandwidth_bps = 0;
+  std::uint64_t serial_baud = net::SerialLink::kDefaultBaud;
+
+  // Stacks.
+  tcp::TcpConfig tcp;
+
+  // ST-TCP (addresses are filled in by the cell).
+  sttcp::StTcpConfig sttcp;
+  /// false runs plain TCP on the same LAN: the backup neither taps nor
+  /// replicates, and the client addresses the primary's own IP — the Demo 1
+  /// baseline ("even if a hot backup is available…") and the Demo 3
+  /// overhead comparison.
+  bool enable_sttcp = true;
+  /// Backups beyond the classic one: 0 keeps the paper's 1+1 pair
+  /// bit-exactly; k > 0 runs a 1+N replication group (N = 1 + k backups,
+  /// "backup2" at 10.0.0.4, "backup3" at 10.0.0.5, IP heartbeats only).
+  int extra_backups = 0;
+  /// Add the §4.3 stream logger host "logger" at 10.0.0.9, tapping the
+  /// cell's multicast group; the caller runs a sttcp::StreamLogger on it.
+  bool enable_logger = false;
+
+  // Host CPU models (zero = infinitely fast).
+  sim::Duration primary_cpu_packet_time = sim::Duration::zero();
+  sim::Duration backup_cpu_packet_time = sim::Duration::zero();
+
+  std::ostream* log_out = nullptr;
+  sim::LogLevel log_level = sim::LogLevel::kOff;
+
+  // Telemetry (src/obs). Off by default: instruments stay unbound and every
+  // component pays only a null-pointer check.
+  bool enable_metrics = false;
+  /// Write every LAN frame (tapped at switch ingress) to this libpcap file;
+  /// empty disables the capture. Readable by Wireshark/tshark.
+  std::string pcap_path;
+
+  /// The paper's 2005 testbed: Fast Ethernet, 115.2 kbps serial heartbeat
+  /// cable, 200 ms heartbeat period (the demos' default).
+  static ScenarioConfig Paper2005();
+  /// A modern fabric: gigabit links, 5 µs latency, 1 Mbps serial, 50 ms
+  /// heartbeats — shows how failover scales when detection is cheap.
+  static ScenarioConfig FastNet();
+};
+
+/// The paper's Figure-2 LAN (file comment) as a one-cell topology, built in
+/// this order: host "client" (10.0.0.1, with a stack), cell 0 (primary
+/// 10.0.0.2, backup 10.0.0.3, service 10.0.0.100, serial cable, STONITH),
+/// host "gateway" (10.0.0.254), then with enable_logger host "logger"
+/// (10.0.0.9). The order fixes every RNG fork, so a seed names one run.
+std::unique_ptr<Topology> build_figure2(const ScenarioConfig& cfg);
 
 /// Consistent-hash front end: maps a flow identifier onto one of N cells'
 /// service addresses. Control-plane only — this is the piece of the "shard

@@ -10,7 +10,7 @@
 
 #include "app/client.h"
 #include "app/server.h"
-#include "harness/scenario.h"
+#include "harness/topology.h"
 
 namespace sttcp::harness {
 namespace {
@@ -24,14 +24,16 @@ TEST_P(ChaosTest, AnySingleFailureIsMasked) {
   ScenarioConfig cfg;
   cfg.seed = seed;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  auto topo = build_figure2(cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 40'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
 
   // Random injection: kind and time drawn from the seed. App-level faults
@@ -44,18 +46,18 @@ TEST_P(ChaosTest, AnySingleFailureIsMasked) {
     case 0: fault = Fault::Crash(Node::kPrimary); break;
     case 1: fault = Fault::Crash(Node::kBackup); break;
     case 2:
-      fault = Fault::Custom("app_hang:primary", [&](Scenario&) { p_app.hang(); });
+      fault = Fault::Custom("app_hang:primary", [&](Topology&) { p_app.hang(); });
       break;
     case 3:
-      fault = Fault::Custom("app_hang:backup", [&](Scenario&) { b_app.hang(); });
+      fault = Fault::Custom("app_hang:backup", [&](Topology&) { b_app.hang(); });
       break;
     case 4:
       fault = Fault::Custom("app_fin_crash:primary",
-                            [&](Scenario&) { p_app.crash_clean(); });
+                            [&](Topology&) { p_app.crash_clean(); });
       break;
     case 5:
       fault = Fault::Custom("app_rst_crash:backup",
-                            [&](Scenario&) { b_app.crash_abort(); });
+                            [&](Topology&) { b_app.crash_abort(); });
       break;
     case 6: fault = Fault::NicFailure(Node::kPrimary); break;
     default:
@@ -63,16 +65,16 @@ TEST_P(ChaosTest, AnySingleFailureIsMasked) {
       break;
   }
   SCOPED_TRACE(fault.label() + " at " + at.str() + ", seed " + std::to_string(seed));
-  sc.inject(fault.at(at));
+  topo->inject(fault.at(at));
 
-  sc.run_for(sim::Duration::seconds(120));
+  topo->run_for(sim::Duration::seconds(120));
 
-  EXPECT_TRUE(client.complete()) << sc.world().trace().dump();
+  EXPECT_TRUE(client.complete()) << topo->world().trace().dump();
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
   EXPECT_EQ(client.received(), size);
   // At most one failover action ever happens.
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   EXPECT_LE(tr.count("takeover") + tr.count("non_ft_mode"), 1u);
 }
 
@@ -87,24 +89,26 @@ TEST_P(LossyFailoverTest, CrashMaskedDespiteRandomLoss) {
   const std::uint64_t seed = GetParam();
   ScenarioConfig cfg;
   cfg.seed = seed;
-  Scenario sc(std::move(cfg));
-  sc.client_link().set_drop_probability(0.02);
-  sc.primary_link().set_drop_probability(0.02);
-  sc.backup_link().set_drop_probability(0.02);
+  auto topo = build_figure2(cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  client_host.link->set_drop_probability(0.02);
+  cell.primary_link().set_drop_probability(0.02);
+  cell.backup_link().set_drop_probability(0.02);
   const std::uint64_t size = 10'000'000;
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
-  sc.inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(500)));
-  sc.run_for(sim::Duration::seconds(240));
+  topo->inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(500)));
+  topo->run_for(sim::Duration::seconds(240));
   EXPECT_TRUE(client.complete()) << "seed " << seed;
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
-  EXPECT_EQ(sc.world().trace().count("backup", "takeover"), 1u);
+  EXPECT_EQ(topo->world().trace().count("backup", "takeover"), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LossyFailoverTest,
@@ -125,20 +129,22 @@ TEST_P(TwoFailureChaosTest, SequentialFailuresAreBothMasked) {
   cfg.seed = seed;
   cfg.enable_metrics = true;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  auto topo = build_figure2(cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 100'000'000;  // ~8.5 s: both faults land mid-stream
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
-  app::FileServer b_app(sc.backup_stack(), sc.service_port(), size);
-  sc.primary_endpoint()->set_checkpoint_provider([&] { return p_app.checkpoint(); });
-  sc.primary_endpoint()->set_checkpoint_restorer(
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), size);
+  cell.primary_endpoint()->set_checkpoint_provider([&] { return p_app.checkpoint(); });
+  cell.primary_endpoint()->set_checkpoint_restorer(
       [&](net::BytesView d) { p_app.stage_restore(d); });
-  sc.backup_endpoint()->set_checkpoint_provider([&] { return b_app.checkpoint(); });
-  sc.backup_endpoint()->set_checkpoint_restorer(
+  cell.backup_endpoint()->set_checkpoint_provider([&] { return b_app.checkpoint(); });
+  cell.backup_endpoint()->set_checkpoint_restorer(
       [&](net::BytesView d) { b_app.stage_restore(d); });
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
 
   // First failure: a random server, at a random time. The other one survives.
@@ -147,25 +153,25 @@ TEST_P(TwoFailureChaosTest, SequentialFailuresAreBothMasked) {
   const auto t1 = sim::Duration::millis(dice.range(300, 1500));
   SCOPED_TRACE(std::string("first crash ") + to_string(first) + " at " +
                t1.str() + ", seed " + std::to_string(seed));
-  sc.inject(Fault::Crash(first).at(t1));
-  sc.inject(Fault::PowerOn(first).at(t1 + sim::Duration::millis(2500)));
+  topo->inject(Fault::Crash(first).at(t1));
+  topo->inject(Fault::PowerOn(first).at(t1 + sim::Duration::millis(2500)));
 
-  const auto& tr = sc.world().trace();
-  const sim::SimTime limit = sc.world().now() + sim::Duration::seconds(12);
-  while (tr.count("reintegration_complete") == 0 && sc.world().now() < limit) {
-    sc.run_for(sim::Duration::millis(100));
+  const auto& tr = topo->world().trace();
+  const sim::SimTime limit = topo->world().now() + sim::Duration::seconds(12);
+  while (tr.count("reintegration_complete") == 0 && topo->world().now() < limit) {
+    topo->run_for(sim::Duration::millis(100));
   }
   ASSERT_EQ(tr.count("reintegration_complete"), 1u) << tr.dump();
   // Both reintegration milestones made it into the exported timeline.
-  const std::string json = sc.metrics_json();
+  const std::string json = topo->metrics_json();
   EXPECT_NE(json.find("reintegration_start"), std::string::npos) << json;
   EXPECT_NE(json.find("reintegration_complete"), std::string::npos) << json;
 
   // Second failure: the node that carried the stream through the first one.
   // Fresh timeline so the second failover decomposition stands alone.
-  sc.metrics()->timeline().reset();
-  sc.inject(Fault::Crash(survivor).at(sim::Duration::millis(dice.range(200, 1200))));
-  sc.run_for(sim::Duration::seconds(120));
+  topo->metrics()->timeline().reset();
+  topo->inject(Fault::Crash(survivor).at(sim::Duration::millis(dice.range(200, 1200))));
+  topo->run_for(sim::Duration::seconds(120));
 
   EXPECT_TRUE(client.complete()) << tr.dump();
   EXPECT_FALSE(client.corrupt());
@@ -189,18 +195,20 @@ TEST_P(TwoFailureChaosTest, SimultaneousFailuresAreMaskedAtGroupSizeThree) {
   cfg.seed = seed;
   cfg.extra_backups = 1;
   cfg.sttcp.max_delay_fin = sim::Duration::seconds(20);
-  Scenario sc(std::move(cfg));
+  auto topo = build_figure2(cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
   const std::uint64_t size = 30'000'000;  // ~2.5 s: the latest crash is mid-stream
-  app::FileServer p_app(sc.primary_stack(), sc.service_port(), size);
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), size);
   std::vector<std::unique_ptr<app::FileServer>> b_apps;
-  for (int b = 0; b < sc.backup_count(); ++b) {
+  for (int b = 0; b < cell.backup_count(); ++b) {
     b_apps.push_back(std::make_unique<app::FileServer>(
-        sc.backup_member_stack(b), sc.service_port(), size));
+        cell.backup_stack(b), cell.service_port(), size));
   }
   app::DownloadClient::Options opt;
   opt.expected_bytes = size;
-  app::DownloadClient client(sc.client_stack(), sc.client_ip(),
-                             {sc.connect_addr()}, opt);
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
   client.start();
 
   const Node members[] = {Node::kPrimary, Node::kBackup, Node::kBackup2};
@@ -210,11 +218,11 @@ TEST_P(TwoFailureChaosTest, SimultaneousFailuresAreMaskedAtGroupSizeThree) {
   SCOPED_TRACE(std::string("crash ") + to_string(members[a]) + "+" +
                to_string(members[b]) + " at " + when.str() + ", seed " +
                std::to_string(seed));
-  sc.inject(Fault::Crash(members[a]).at(when));
-  sc.inject(Fault::Crash(members[b]).at(when));
-  sc.run_for(sim::Duration::seconds(120));
+  topo->inject(Fault::Crash(members[a]).at(when));
+  topo->inject(Fault::Crash(members[b]).at(when));
+  topo->run_for(sim::Duration::seconds(120));
 
-  const auto& tr = sc.world().trace();
+  const auto& tr = topo->world().trace();
   EXPECT_TRUE(client.complete()) << tr.dump();
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(client.connection_failures(), 0);
