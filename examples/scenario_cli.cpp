@@ -13,8 +13,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "app/client.h"
@@ -27,7 +27,9 @@ namespace net = sttcp::net;
 namespace sim = sttcp::sim;
 using sttcp::harness::Cell;
 using sttcp::harness::CellConfig;
+using sttcp::harness::Fault;
 using sttcp::harness::HostOptions;
+using sttcp::harness::Node;
 using sttcp::harness::Topology;
 using sttcp::harness::TopologyBuilder;
 using sttcp::harness::TopologyConfig;
@@ -88,7 +90,7 @@ struct World {
 
 /// Classic flat LAN (Figure 2) or the routed one-cell fabric. The logger
 /// host, when requested, joins the cell's multicast group on the cell's LAN
-/// exactly like the Scenario facade wires it.
+/// exactly like the Figure-2 recipe (build_figure2) wires it.
 World build_world(const Options& opt) {
   World w;
   const bool routed = opt.routed;
@@ -203,48 +205,33 @@ int main(int argc, char** argv) {
                              {cell.connect_addr()}, copt);
   client.start();
 
-  // Faults act on the topology directly; each stamps the same
-  // "fault_injected" trace marker the Scenario facade's Fault machinery
-  // emits, so report tooling sees one vocabulary.
+  // Every failure is a Fault injected through the topology: each stamps the
+  // "fault_injected" trace marker, so report tooling sees one vocabulary.
   const auto at = sim::Duration::millis(opt.crash_ms);
-  const auto inject = [&](const std::string& label, std::function<void()> fn) {
-    topo.world().loop().schedule_after(at, [&, label, fn = std::move(fn)] {
-      topo.world().trace().record("harness", "fault_injected", label);
-      fn();
-    });
-  };
+  std::optional<Fault> fault;
   if (opt.failure == "none") {
   } else if (opt.failure == "primary-crash") {
-    inject("crash:primary", [&] { cell.primary().crash("injected HW/OS crash"); });
+    fault = Fault::Crash(Node::kPrimary);
   } else if (opt.failure == "backup-crash") {
-    inject("crash:backup", [&] { cell.backup().crash("injected HW/OS crash"); });
+    fault = Fault::Crash(Node::kBackup);
   } else if (opt.failure == "primary-app-hang") {
-    inject("app_hang:primary", [&] { p_app.hang(); });
+    fault = Fault::Custom("app_hang:primary", [&](Topology&) { p_app.hang(); });
   } else if (opt.failure == "backup-app-hang") {
-    inject("app_hang:backup", [&] { b_app.hang(); });
+    fault = Fault::Custom("app_hang:backup", [&](Topology&) { b_app.hang(); });
   } else if (opt.failure == "primary-app-fin") {
-    inject("app_fin:primary", [&] { p_app.crash_clean(); });
+    fault = Fault::Custom("app_fin:primary", [&](Topology&) { p_app.crash_clean(); });
   } else if (opt.failure == "backup-app-fin") {
-    inject("app_fin:backup", [&] { b_app.crash_clean(); });
+    fault = Fault::Custom("app_fin:backup", [&](Topology&) { b_app.crash_clean(); });
   } else if (opt.failure == "primary-nic") {
-    inject("nic_failure:primary", [&] {
-      topo.world().trace().record("primary", "nic_failed");
-      cell.primary().nic().fail();
-    });
+    fault = Fault::NicFailure(Node::kPrimary);
   } else if (opt.failure == "backup-nic") {
-    inject("nic_failure:backup", [&] {
-      topo.world().trace().record("backup", "nic_failed");
-      cell.backup().nic().fail();
-    });
+    fault = Fault::NicFailure(Node::kBackup);
   } else if (opt.failure == "serial-cut") {
-    inject("serial_cut", [&] {
-      topo.world().trace().record("serial", "serial_failed");
-      cell.serial().fail();
-    });
+    fault = Fault::SerialCut();
   } else if (opt.failure == "backup-loss") {
-    inject("frame_loss:backup", [&] { cell.backup_link().drop_next(12); });
+    fault = Fault::FrameLoss(Node::kBackup, 12);
   } else if (opt.failure == "router-crash") {
-    inject("router_crash:core", [&] { topo.router().crash(); });
+    fault = Fault::Custom("router_crash:core", [](Topology& t) { t.router().crash(); });
     // A dead router is forever without repair; bring it back after 2 s so
     // the download can finish and the report shows the stall.
     topo.world().loop().schedule_after(at + sim::Duration::seconds(2),
@@ -254,6 +241,7 @@ int main(int argc, char** argv) {
                  opt.failure.c_str());
     return 2;
   }
+  if (fault.has_value()) topo.inject(fault->at(at));
 
   topo.run_for(sim::Duration::seconds(240));
 
