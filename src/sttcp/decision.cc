@@ -38,6 +38,9 @@ std::uint64_t DecisionLog::choose(DecisionKind kind,
 
 void DecisionLog::set_standalone(bool standalone, bool retain) {
   const bool commit_advanced = standalone && !standalone_;
+  // Standalone committed every record: a peer that gates commit from now on
+  // holds back only what comes after them.
+  if (!standalone && standalone_) peer_acked_ = std::max(peer_acked_, last_seq());
   standalone_ = standalone;
   retain_ = retain;
   if (standalone_ && !retain_) unacked_.clear();

@@ -107,7 +107,8 @@ class DecisionLog {
   /// No live peer: commit everything immediately. `retain` keeps appended
   /// records queued for a (future) rejoiner — the reintegrating survivor
   /// sets it so decisions made while the snapshot streams still reach the
-  /// rejoiner; a lone non-FT server drops them on append.
+  /// rejoiner; a lone non-FT server drops them on append. Leaving standalone
+  /// never moves commit_through() back.
   void set_standalone(bool standalone, bool retain);
   bool standalone() const { return standalone_; }
   /// Every member that commit waits for holds every seq <= cum (the minimum
