@@ -600,60 +600,44 @@ void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t peer_idx) {
   }
   g.valid = true;
   if (matched_by_id) g.echoed = true;
+  // Unwrap the 32-bit wire counters against the member's previous values.
   g.received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received),
                               g.received);
+  g.acked = unwrap_counter(static_cast<std::uint32_t>(rec.acked_by_peer), g.acked);
+  g.written = unwrap_counter(static_cast<std::uint32_t>(rec.app_written), g.written);
+  g.read = unwrap_counter(static_cast<std::uint32_t>(rec.app_read), g.read);
   g.fin = g.fin || rec.fin_generated;
   g.rst = g.rst || rec.rst_generated;
   g.closed = g.closed || rec.closed;
 
-  // Unwrap the 32-bit wire counters against the previous values.
-  rc->p_received = unwrap_counter(static_cast<std::uint32_t>(rec.bytes_received),
-                                  rc->p_received);
-  rc->p_acked =
-      unwrap_counter(static_cast<std::uint32_t>(rec.acked_by_peer), rc->p_acked);
-  rc->p_written =
-      unwrap_counter(static_cast<std::uint32_t>(rec.app_written), rc->p_written);
-  rc->p_read = unwrap_counter(static_cast<std::uint32_t>(rec.app_read), rc->p_read);
-  rc->p_fin = rc->p_fin || rec.fin_generated;
-  rc->p_rst = rc->p_rst || rec.rst_generated;
-  rc->p_closed = rc->p_closed || rec.closed;
-  rc->peer_valid = true;
-
-  // Grey-failure watch: note the peer's total progress. Stagnation is
+  // Grey-failure watch: note the member's total progress. Stagnation is
   // evaluated on the detector tick (it needs the clock even when a record's
   // values are unchanged); here we only timestamp changes.
-  rc->progress.observe(rc->p_received + rc->p_acked + rc->p_written + rc->p_read,
-                       world_.now());
+  g.progress.observe(g.received + g.acked + g.written + g.read, world_.now());
 
-  // Leader: release the hold buffer below the MINIMUM receipt confirmed
-  // across every live member; a member without a record yet pins the
+  // Leader: release the hold buffer below the MINIMUM receipt confirmed by
+  // the sender and every live member (a rejoiner outside the view recovers
+  // missed bytes from it too); a member without a record yet pins the
   // buffer entirely (its replica may still need every held byte).
   if (role_ == Role::kPrimary) {
-    std::uint64_t release = rc->p_received;
-    bool all_closed = true;
-    bool any_live = false;
+    std::uint64_t release = g.received;
     for (std::size_t i = 0; i < peers_.size(); ++i) {
       if (!view_.contains(peers_[i].member)) continue;
-      any_live = true;
       const ReplConn::PeerProgress& m = rc->gp[i];
       release = m.valid ? std::min(release, m.received) : 0;
-      all_closed = all_closed && m.valid && m.closed;
     }
     const std::size_t before = rc->hold.size();
     rc->hold.release_to(release);
     note_hold_change(before, rc->hold.size());
-    // "Peer closed" means EVERY live member closed its replica — GC must
-    // not reap the final-counter record while a slower member still
-    // reconciles against it.
-    if (any_live) rc->p_closed = all_closed;
   }
 
   // FIN arbitration: a member generated a FIN/RST. A leader holding a
   // withheld FIN settles only on full agreement (every live member FINed);
   // a lone member's FIN with no local counterpart still arms the
   // disagreement timer via on_peer_fin_notice.
-  if ((rc->p_fin || rc->p_rst) &&
-      (role_ != Role::kPrimary || !rc->fin_withheld || fins_agree(*rc))) {
+  if ((g.fin || g.rst) &&
+      (role_ != Role::kPrimary || !rc->fin_withheld ||
+       mirrors_agree(*rc, [](const auto& m) { return m.fin || m.rst; }))) {
     on_peer_fin_notice(*rc);
   }
 
@@ -672,16 +656,16 @@ void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t peer_idx) {
   // benign — its frozen counters are exactly the §4.2.1 symptom.
   const bool local_closing = rc->conn == nullptr || rc->conn->fin_generated() ||
                              rc->conn->rst_generated();
-  const bool peer_closing = rc->p_fin || rc->p_rst || rc->p_closed;
+  const bool peer_closing = g.fin || g.rst || g.closed;
   // While we are actively serving missed bytes to the peer, its app lag is
   // explained by the gap being repaired — do not convict until the recovery
   // has had a couple of heartbeats to land.
   const bool recovering_peer =
       rc->ever_served && now - rc->last_served_at < cfg_.hb_period * 3;
   // No lag conviction while a reintegration is in flight: the rejoiner is
-  // still catching up by design. Trackers are reset when FT resumes.
-  // Channel liveness is the sender's own: an aggregate over members would
-  // hide a single member's dead NIC.
+  // still catching up by design. Its trackers are reset when FT resumes.
+  // Counters, detectors and channel liveness are all the sender's own: an
+  // aggregate over members would hide a single member's lag or dead NIC.
   const bool peer_ip_ok = peer_ip_alive(peers_[peer_idx]);
   const bool peer_serial_ok = peer_serial_alive(peers_[peer_idx]);
   const bool detection_eligible = mode_ == Mode::kReplicating &&
@@ -689,12 +673,11 @@ void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t peer_idx) {
                                   !(local_closing && peer_closing) &&
                                   !recovering_peer && peer_ip_ok;
   if (detection_eligible) {
-    const auto v_read = rc->lag_read.update(rc->read(), rc->p_read, now);
-    const auto v_written = rc->lag_written.update(rc->written(), rc->p_written, now);
+    const auto v_read = g.lag_read.update(rc->read(), g.read, now);
+    const auto v_written = g.lag_written.update(rc->written(), g.written, now);
     // Export the worst current byte lag before any conviction fires, so the
     // grey benches can read how far the peer fell behind.
-    const std::uint64_t lag =
-        std::max(rc->lag_read.lag_bytes(), rc->lag_written.lag_bytes());
+    const std::uint64_t lag = std::max(g.lag_read.lag_bytes(), g.lag_written.lag_bytes());
     if (lag > app_lag_peak_bytes_) app_lag_peak_bytes_ = lag;
     if (m_app_lag_bytes_ != nullptr) {
       m_app_lag_bytes_->set(static_cast<std::int64_t>(lag));
@@ -715,9 +698,9 @@ void StTcpEndpoint::process_record(const HbRecord& rec, std::size_t peer_idx) {
   // (§4.3) — only meaningful while the IP channel is dead and the serial
   // channel carries the heartbeat.
   if (mode_ == Mode::kReplicating && !peer_ip_ok && peer_serial_ok &&
-      rc->conn != nullptr && !rc->local_closed && !rc->p_closed) {
-    const auto v_rx = rc->lag_received.update(rc->received(), rc->p_received, now);
-    const auto v_ack = rc->lag_acked.update(rc->acked(), rc->p_acked, now);
+      rc->conn != nullptr && !rc->local_closed && !g.closed) {
+    const auto v_rx = g.lag_received.update(rc->received(), g.received, now);
+    const auto v_ack = g.lag_acked.update(rc->acked(), g.acked, now);
     if (v_rx.failed || v_ack.failed) {
       member_failed(peer_idx,
                     sim::cat("NIC failure (client-byte comparison): ",
@@ -740,11 +723,19 @@ void StTcpEndpoint::detector_tick() {
   // member without a shared RS-232 cable the IP channel is the only channel
   // — peer_serial_alive() is constantly false there, so "both links dead"
   // collapses to IP silence as intended. One conviction per tick; the next
-  // period re-evaluates.
+  // period re-evaluates. The rejoiner is not in the view yet, but from its
+  // first ready beat its acks gate decision commit: a silent rejoiner is
+  // given up now, not when the snapshot retry budget runs out.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     const GroupPeer& p = peers_[i];
-    if (!view_.contains(p.member)) continue;
+    const bool rejoiner =
+        mode_ == Mode::kReintegrating && p.member == reintegrator_->rejoin_member();
+    if (!view_.contains(p.member) && !rejoiner) continue;
     if (!peer_ip_alive(p) && !peer_serial_alive(p)) {
+      if (rejoiner) {
+        reintegrator_->abandon();
+        return;
+      }
       world_.trace().record(host_.name(), "hb_both_links_dead");
       member_failed(i, "heartbeat failure on both links", "peer_dead");
       return;
@@ -806,8 +797,7 @@ void StTcpEndpoint::detector_tick() {
       for (std::size_t i = 0; i < peers_.size(); ++i) {
         if (!view_.contains(peers_[i].member)) continue;
         const ReplConn::PeerProgress& g = rc->gp[i];
-        const sim::SimTime base = std::max(rc->registered_at, g.since);
-        if (!g.valid && world_.now() - base > cfg_.replica_setup_grace) {
+        if (!g.valid && world_.now() - g.since > cfg_.replica_setup_grace) {
           member_failed(i, sim::cat("peer never replicated connection ", rc->tuple.str()),
                         "app_failure_detected");
           return;
@@ -833,8 +823,9 @@ void StTcpEndpoint::detector_tick() {
         }
       }
     }
-  } else if (GroupPeer* lp = peer_by_member(view_.leader());
-             lp != nullptr && peer_ip_alive(*lp)) {
+  } else if (const int li = leader_index();
+             li >= 0 && peer_ip_alive(peers_[static_cast<std::size_t>(li)]) &&
+             cfg_.progress_stall_time > sim::Duration::zero()) {
     // Grey-failure conviction: progress-counter stagnation (lag.h
     // ProgressWatch). Only meaningful while heartbeats still arrive —
     // silence is the classic detector's jurisdiction — and only evaluated by
@@ -847,20 +838,20 @@ void StTcpEndpoint::detector_tick() {
     // test requires).
     const sim::SimTime now = world_.now();
     for (auto& [id, rc] : conns_) {
-      if (!rc->progress.enabled()) break;  // same config for every conn
-      if (rc->conn == nullptr || rc->local_closed || !rc->peer_valid) continue;
-      if (rc->p_fin || rc->p_rst || rc->p_closed) continue;
+      ReplConn::PeerProgress& leader = rc->gp[static_cast<std::size_t>(li)];
+      if (rc->conn == nullptr || rc->local_closed || !leader.valid) continue;
+      if (leader.fin || leader.rst || leader.closed) continue;
       if (rc->conn->fin_generated() || rc->conn->rst_generated()) continue;
       if (now - rc->registered_at <= cfg_.replica_setup_grace) continue;
       // Demand: this replica holds bytes the client has not acknowledged —
       // if the leader were healthy, SOME counter would be moving.
       const bool demand = rc->written() > rc->acked();
-      const auto v = rc->progress.check(demand, now);
+      const auto v = leader.progress.check(demand, now);
       if (v.failed) {
         if (timeline_ != nullptr) {
           timeline_->mark(obs::Milestone::kProgressStall, now);
         }
-        member_failed(static_cast<std::size_t>(lp - peers_.data()),
+        member_failed(static_cast<std::size_t>(li),
                       sim::cat("progress stall on ", rc->tuple.str(), ": ", v.reason),
                       "progress_stall_detected");
         return;
@@ -945,7 +936,6 @@ void StTcpEndpoint::register_primary_conn(tcp::TcpConnection& conn) {
   rc->id = id;
   rc->tuple = conn.tuple();
   rc->conn = &conn;
-  rc->registered_at = world_.now();
   conns_.emplace(id, std::move(rc));
   id_by_tuple_[conn.tuple()] = id;
 
@@ -1032,7 +1022,6 @@ void StTcpEndpoint::create_replica_from(const HbRecord& rec) {
   auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_, peers_.size(), world_.now());
   rc->id = rec.repl_id;
   rc->tuple = tuple;
-  rc->registered_at = world_.now();
   conns_.emplace(rec.repl_id, std::move(rc));
   id_by_tuple_[tuple] = rec.repl_id;
 
@@ -1107,10 +1096,11 @@ void StTcpEndpoint::create_replica_inferred(const tcp::FourTuple& tuple,
   auto rc = std::make_unique<ReplConn>(world_.loop(), cfg_, peers_.size(), world_.now());
   rc->id = id;
   rc->tuple = tuple;
-  rc->registered_at = world_.now();
   // The inferred replica has no peer record yet; the announce (if the
   // primary lives long enough to send one) will remap the id.
-  rc->peer_valid = true;  // suppress the setup-grace detector: we self-made it
+  if (const int li = leader_index(); li >= 0) {
+    rc->gp[static_cast<std::size_t>(li)].valid = true;  // we self-made it
+  }
   conns_.emplace(id, std::move(rc));
   id_by_tuple_[tuple] = id;
 
@@ -1141,9 +1131,7 @@ bool StTcpEndpoint::close_gate(std::uint16_t id, bool is_rst) {
   // Agreement: the peer generated one too => normal closure. A leader
   // needs EVERY live member to have produced the FIN/RST — one healthy
   // member's silence keeps the arbitration open.
-  const bool agreed =
-      role_ == Role::kPrimary ? fins_agree(*rc) : (rc->p_fin || rc->p_rst);
-  if (agreed) {
+  if (mirrors_agree(*rc, [](const auto& m) { return m.fin || m.rst; })) {
     ++stats_.fin_agreed;
     world_.trace().record(host_.name(), "fin_agreed", rc->tuple.str());
     return true;
@@ -1246,10 +1234,11 @@ void StTcpEndpoint::maybe_request_missed(ReplConn& rc) {
   if (rc.conn == nullptr) return;
   // Only the leader holds the bytes; a fenced-out or leaderless view has no
   // one to ask (the promotion settles first).
-  const net::Ipv4Addr dst = group_leader_ip();
-  if (dst.is_zero()) return;
+  const int li = leader_index();
+  if (li < 0) return;
+  const std::uint64_t leader_received = rc.gp[static_cast<std::size_t>(li)].received;
   const std::uint64_t mine = rc.conn->bytes_received();
-  if (rc.p_received <= mine) return;
+  if (leader_received <= mine) return;
   if (world_.now() - rc.last_request_at < cfg_.recovery_request_delay &&
       rc.last_request_offset == mine) {
     return;  // request outstanding for the same gap
@@ -1258,14 +1247,14 @@ void StTcpEndpoint::maybe_request_missed(ReplConn& rc) {
   req.repl_id = rc.id;
   req.offset = mine;
   req.length = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(rc.p_received - mine, 512 * 1024));
+      std::min<std::uint64_t>(leader_received - mine, 512 * 1024));
   rc.last_request_at = world_.now();
   rc.last_request_offset = mine;
   ++stats_.missed_requests_sent;
   world_.trace().record(host_.name(), "missed_bytes_request", rc.tuple.str(),
                         static_cast<std::int64_t>(req.length));
-  host_.udp_send(cfg_.my_ip, cfg_.control_port, dst, cfg_.control_port,
-                 req.serialize());
+  host_.udp_send(cfg_.my_ip, cfg_.control_port, peers_[static_cast<std::size_t>(li)].ip,
+                 cfg_.control_port, req.serialize());
 }
 
 void StTcpEndpoint::on_control_datagram(net::Ipv4Addr src, net::BytesView payload) {
@@ -1386,7 +1375,8 @@ void StTcpEndpoint::logger_recovery_tick() {
   for (auto& [id, rc] : conns_) {
     if (rc->conn == nullptr) continue;
     const std::uint64_t mine = rc->conn->bytes_received();
-    std::uint64_t target = rc->p_received;
+    std::uint64_t target = 0;  // the most any member confirmed
+    for (const ReplConn::PeerProgress& g : rc->gp) target = std::max(target, g.received);
     if (rc->conn->has_rx_gap()) {
       target = std::max(target, rc->conn->rx_gap_end());
     }
@@ -1481,9 +1471,12 @@ void StTcpEndpoint::update_group_gauges() {
   if (m_epoch_ != nullptr) m_epoch_->set(static_cast<std::int64_t>(view_.epoch));
 }
 
-net::Ipv4Addr StTcpEndpoint::group_leader_ip() const {
-  if (view_.order.empty() || view_.leader() == my_member()) return net::Ipv4Addr();
-  return cfg_.group[view_.leader()].ip;
+int StTcpEndpoint::leader_index() const {
+  if (view_.order.empty() || view_.is_leader(my_member())) return -1;
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    if (peers_[i].member == view_.leader()) return static_cast<int>(i);
+  }
+  return -1;
 }
 
 std::size_t StTcpEndpoint::live_followers(int except) const {
@@ -1494,10 +1487,15 @@ std::size_t StTcpEndpoint::live_followers(int except) const {
   return n;
 }
 
-bool StTcpEndpoint::fins_agree(const ReplConn& rc) const {
+bool StTcpEndpoint::mirrors_agree(const ReplConn& rc,
+                                  bool (*pred)(const ReplConn::PeerProgress&)) const {
+  if (role_ != Role::kPrimary) {
+    const int li = leader_index();
+    return li >= 0 && rc.gp[static_cast<std::size_t>(li)].valid &&
+           pred(rc.gp[static_cast<std::size_t>(li)]);
+  }
   for (std::size_t i = 0; i < peers_.size(); ++i) {
-    if (!view_.contains(peers_[i].member)) continue;
-    if (!rc.gp[i].valid || !(rc.gp[i].fin || rc.gp[i].rst)) return false;
+    if (view_.contains(peers_[i].member) && !(rc.gp[i].valid && pred(rc.gp[i]))) return false;
   }
   return true;
 }
@@ -1550,10 +1548,7 @@ void StTcpEndpoint::member_failed(std::size_t peer_idx, const std::string& reaso
     ++stats_.view_changes;
     announce_view();
     update_group_gauges();
-    for (auto& [id, rc] : conns_) {
-      rc->gp[peer_idx] = ReplConn::PeerProgress{};
-      rc->gp[peer_idx].since = world_.now();
-    }
+    for (auto& [id, rc] : conns_) rc->gp[peer_idx].reset(world_.now());
     refresh_decision_ack();
     sync_decision_log();  // a reintegrating leader may be down to its rejoiner
     if (view_.order.size() <= 1 && mode_ == Mode::kReplicating) {
@@ -1722,18 +1717,12 @@ void StTcpEndpoint::win_promotion() {
 
   if (followers) {
     // Survivors remain: stay in replicating mode as the new leader. Fresh
-    // ids for our inferred replicas, fresh per-member mirrors and lag
-    // baselines (the survivors' counters restart relative to OURS now), and
-    // leader-side seams on every live replica.
+    // ids for our inferred replicas, fresh mirrors and lag baselines (the
+    // survivors now replicate from US), and leader-side seams on every live
+    // replica.
     renumber_inferred_conns();
     for (auto& [id, rc] : conns_) {
-      for (ReplConn::PeerProgress& g : rc->gp) g = ReplConn::PeerProgress{};
-      for (ReplConn::PeerProgress& g : rc->gp) g.since = world_.now();
-      rc->lag_read.reset();
-      rc->lag_written.reset();
-      rc->lag_received.reset();
-      rc->lag_acked.reset();
-      rc->progress.reset();
+      for (ReplConn::PeerProgress& g : rc->gp) g.reset(world_.now());
       if (rc->conn != nullptr && !rc->local_closed) {
         install_primary_seams(*rc->conn, id);
       }
@@ -1931,8 +1920,12 @@ StTcpEndpoint::ReplConn* StTcpEndpoint::by_tuple(const tcp::FourTuple& t) {
 void StTcpEndpoint::gc_closed_conns() {
   for (auto it = conns_.begin(); it != conns_.end();) {
     ReplConn& rc = *it->second;
-    const bool expired = rc.local_closed &&
-                         (rc.p_closed || world_.now() - rc.closed_at > cfg_.closed_linger);
+    // "Peer closed" means EVERY live member closed its replica — GC must
+    // not reap the final-counter record while a slower member still
+    // reconciles against it.
+    const bool expired =
+        rc.local_closed && (mirrors_agree(rc, [](const auto& m) { return m.closed; }) ||
+                            world_.now() - rc.closed_at > cfg_.closed_linger);
     if (expired) {
       note_hold_change(rc.hold.size(), 0);
       // Only drop the tuple mapping if it still points at THIS record. Under

@@ -173,29 +173,6 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
     HoldBuffer hold;  // leader only
 
-    // Peer state from heartbeat records (unwrapped to 64 bits): the most
-    // recent record's values from any member (counters never regress).
-    bool peer_valid = false;
-    std::uint64_t p_received = 0;
-    std::uint64_t p_acked = 0;
-    std::uint64_t p_written = 0;
-    std::uint64_t p_read = 0;
-    bool p_fin = false;
-    bool p_rst = false;
-    bool p_closed = false;
-
-    // Lag detectors (peer app read / write; LastByteReceived and
-    // LastAckReceived for NIC arbitration — the ACK comparison covers
-    // download-heavy workloads where the client sends no data, §4.3).
-    LagTracker lag_read;
-    LagTracker lag_written;
-    LagTracker lag_received;
-    LagTracker lag_acked;
-    // Grey-failure criterion: absolute stagnation of the peer counter sum
-    // under local demand (see lag.h). Disabled unless
-    // cfg.progress_stall_time > 0.
-    ProgressWatch progress;
-
     // FIN arbitration.
     bool fin_withheld = false;
     sim::OneShotTimer fin_delay_timer;
@@ -216,33 +193,60 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
     sim::SimTime registered_at;
 
-    // Per-member progress mirror, indexed like peers_. The shared p_*
-    // fields above serve the follower side and lag detection; hold release,
-    // announces and FIN agreement need each member's own view.
+    // Per-member progress mirror, indexed like peers_: one member's counters
+    // from its own heartbeat records (unwrapped to 64 bits) and the
+    // detectors that compare them with ours. The leader keeps one per
+    // follower and convicts the one that lags; a follower reads its leader's.
     struct PeerProgress {
+      PeerProgress(const StTcpConfig& cfg, sim::SimTime now)
+          : lag_read(cfg.app_max_lag_bytes, cfg.app_lag_bytes_grace, cfg.app_max_lag_time),
+            lag_written(lag_read),
+            lag_received(cfg.nic_lag_bytes, cfg.app_lag_bytes_grace, cfg.nic_lag_time),
+            lag_acked(lag_received),
+            progress(cfg.progress_stall_time),
+            since(now) {}
+
       bool valid = false;   // a record matched: the member's replica exists
       bool echoed = false;  // matched by OUR id: stop announcing to this member
-      std::uint64_t received = 0;
+      std::uint64_t received = 0, acked = 0, written = 0, read = 0;
       bool fin = false, rst = false, closed = false;
+
+      // Lag detectors (app read / write; LastByteReceived and
+      // LastAckReceived for NIC arbitration — the ACK comparison covers
+      // download-heavy workloads where the client sends no data, §4.3).
+      LagTracker lag_read, lag_written, lag_received, lag_acked;
+      // Grey-failure criterion: absolute stagnation of the counter sum
+      // under local demand (see lag.h). Disabled unless
+      // cfg.progress_stall_time > 0.
+      ProgressWatch progress;
+
       sim::SimTime since;  // when tracking (re)started; setup-grace baseline
+
+      /// Forget the detection history (the member is catching up by design).
+      void restart_detection() {
+        for (LagTracker* t : {&lag_read, &lag_written, &lag_received, &lag_acked}) {
+          t->reset();
+        }
+        progress.reset();
+      }
+      /// Start the member over as of `now`. The counters stay: they are
+      /// positions in the connection's one stream, so the member's next
+      /// record unwraps against them and they never regress.
+      void reset(sim::SimTime now) {
+        valid = echoed = fin = rst = closed = false;
+        since = now;
+        restart_detection();
+      }
     };
     std::vector<PeerProgress> gp;
 
     ReplConn(sim::EventLoop& loop, const StTcpConfig& cfg, std::size_t peers,
              sim::SimTime now)
         : hold(cfg.hold_buffer_capacity),
-          lag_read(cfg.app_max_lag_bytes, cfg.app_lag_bytes_grace,
-                   cfg.app_max_lag_time),
-          lag_written(cfg.app_max_lag_bytes, cfg.app_lag_bytes_grace,
-                      cfg.app_max_lag_time),
-          lag_received(cfg.nic_lag_bytes, cfg.app_lag_bytes_grace, cfg.nic_lag_time),
-          lag_acked(cfg.nic_lag_bytes, cfg.app_lag_bytes_grace, cfg.nic_lag_time),
-          progress(cfg.progress_stall_time),
           fin_delay_timer(loop),
-          peer_fin_timer(loop) {
-      gp.resize(peers);
-      for (PeerProgress& g : gp) g.since = now;
-    }
+          peer_fin_timer(loop),
+          registered_at(now),
+          gp(peers, PeerProgress(cfg, now)) {}
 
     // Current counter values: live connection or final snapshot.
     std::uint64_t received() const { return conn ? conn->bytes_received() : f_received; }
@@ -402,11 +406,16 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void seat_behind(std::uint8_t leader);
   /// Live members other than this one and `except` (e.g. a rejoiner).
   std::size_t live_followers(int except = -1) const;
-  /// FIN/close agreement across every live member's mirror of `rc`
-  /// (vacuously true with no live member).
-  bool fins_agree(const ReplConn& rc) const;
+  /// peers_ index of the leader, whose mirror a follower reads (-1 while
+  /// this member heads its own view).
+  int leader_index() const;
+  /// `pred` holds on every mirror this member settles agreement with: on
+  /// the leader each live member's (vacuously true with none), on a
+  /// follower its leader's (false without one). A mirror without a record
+  /// never agrees.
+  bool mirrors_agree(const ReplConn& rc,
+                     bool (*pred)(const ReplConn::PeerProgress&)) const;
   void update_group_gauges();
-  net::Ipv4Addr group_leader_ip() const;
 
   ReplConn* by_id(std::uint16_t id);
   ReplConn* by_tuple(const tcp::FourTuple& t);

@@ -28,7 +28,7 @@ bool Reintegrator::rejoin_ready_flag() const {
 
 void Reintegrator::send_control(const net::Bytes& payload) {
   // To the member whose rejoin we serve.
-  ep_.host_.udp_send(ep_.cfg_.my_ip, ep_.cfg_.control_port, rejoin_ip_,
+  ep_.host_.udp_send(ep_.cfg_.my_ip, ep_.cfg_.control_port, ep_.peers_[rejoin_peer_].ip,
                      ep_.cfg_.control_port, payload);
 }
 
@@ -97,7 +97,7 @@ void Reintegrator::on_control(net::BytesView payload, std::uint8_t member) {
       case ControlType::kSnapshotBegin: on_snapshot_begin(r); break;
       case ControlType::kSnapshotConn: on_snapshot_conn(r); break;
       case ControlType::kSnapshotData: on_snapshot_data(r); break;
-      case ControlType::kSnapshotEnd: on_snapshot_end(r); break;
+      case ControlType::kSnapshotEnd: on_snapshot_end(r, member); break;
       case ControlType::kRejoinCommit: on_commit(r, member); break;
       default: break;
     }
@@ -171,7 +171,7 @@ void Reintegrator::on_snapshot_data(net::ByteReader& r) {
   buf.insert(buf.end(), data.begin(), data.end());
 }
 
-void Reintegrator::on_snapshot_end(net::ByteReader& r) {
+void Reintegrator::on_snapshot_end(net::ByteReader& r, std::uint8_t leader) {
   if (!rx_active_ || applied_) return;
   const std::uint32_t e = r.u32();
   if (e != rx_epoch_) return;
@@ -181,13 +181,15 @@ void Reintegrator::on_snapshot_end(net::ByteReader& r) {
   for (const auto& [id, sc] : rx_conns_) {
     if (sc.tx.size() != sc.tx_len || sc.rx.size() != sc.rx_len) return;
   }
-  apply_snapshot();
+  apply_snapshot(leader);
 }
 
-void Reintegrator::apply_snapshot() {
+void Reintegrator::apply_snapshot(std::uint8_t leader) {
   // Atomic from the application's point of view: checkpoint staged first,
   // then every replica adopted (adoption calls into the app synchronously).
   if (ep_.checkpoint_restorer_) ep_.checkpoint_restorer_(rx_app_);
+  const std::size_t li =
+      static_cast<std::size_t>(ep_.peer_index_by_ip(ep_.cfg_.group[leader].ip));
   std::size_t adopted = 0;
   for (auto& [id, sc] : rx_conns_) {
     // Opened during our rejoin window and already adopted via ISN inference
@@ -204,12 +206,14 @@ void Reintegrator::apply_snapshot() {
         ep_.world_.loop(), ep_.cfg_, ep_.peers_.size(), ep_.world_.now());
     rc->id = id;
     rc->tuple = sc.tuple;
-    rc->registered_at = ep_.world_.now();
-    rc->peer_valid = true;
-    rc->p_received = sc.received;
-    rc->p_acked = sc.acked;
-    rc->p_written = sc.written;
-    rc->p_read = sc.read;
+    // Baseline the leader's mirror: its heartbeat records resume from
+    // exactly these values.
+    StTcpEndpoint::ReplConn::PeerProgress& g = rc->gp[li];
+    g.valid = true;
+    g.received = sc.received;
+    g.acked = sc.acked;
+    g.written = sc.written;
+    g.read = sc.read;
     StTcpEndpoint::ReplConn* raw = rc.get();
     ep_.conns_.emplace(id, std::move(rc));
     ep_.id_by_tuple_[sc.tuple] = id;
@@ -286,9 +290,10 @@ void Reintegrator::on_rejoin_request(std::uint32_t epoch, std::uint8_t member) {
   attempts_ = 0;
   rejoin_member_ = member;
   rejoiner_ready_ = false;
-  rejoin_ip_ = ep_.cfg_.group[member].ip;
+  StTcpEndpoint::GroupPeer* p = ep_.peer_by_member(member);
+  rejoin_peer_ = static_cast<std::size_t>(p - ep_.peers_.data());
   // The rejoiner's log restarts from our checkpoint: its old acks are void.
-  if (auto* p = ep_.peer_by_member(member)) p->decision_ack = 0;
+  p->decision_ack = 0;
   begin_reintegration();
 }
 
@@ -302,6 +307,12 @@ void Reintegrator::begin_reintegration() {
                                    ep_.live_followers(rejoin_member_) > 0;
     ep_.mode_ = Mode::kReintegrating;
     ep_.role_ = Role::kPrimary;  // the survivor serves; the rejoiner taps
+    // The rejoiner starts over: it counts for no connection until the
+    // snapshot baselines its mirror, and it catches up by design.
+    for (auto& [id, rc] : ep_.conns_) {
+      rc->gp[rejoin_peer_].valid = false;
+      rc->gp[rejoin_peer_].restart_detection();
+    }
     if (live_group_leader) {
       if (ep_.timeline_ != nullptr) {
         ep_.timeline_->mark(obs::Milestone::kReintegrationStart,
@@ -347,12 +358,6 @@ void Reintegrator::begin_reintegration() {
     // a former backup never had them, and go_non_ft tore them down.
     for (auto& [id, rc] : ep_.conns_) {
       rc->hold.clear();
-      rc->lag_read.reset();
-      rc->lag_written.reset();
-      rc->lag_received.reset();
-      rc->lag_acked.reset();
-      rc->peer_valid = false;
-      for (auto& g : rc->gp) g.valid = false;
       if (rc->conn != nullptr) ep_.install_primary_seams(*rc->conn, id);
     }
     ep_.recompute_hold_total();
@@ -392,14 +397,12 @@ void Reintegrator::capture_and_send_snapshot() {
     net::Bytes tx, rx;
   };
   std::vector<Item> items;
-  const int ri = ep_.peer_index_by_ip(rejoin_ip_);
   for (auto& [id, rc] : ep_.conns_) {
     // The snapshot IS the announcement: suppress heartbeat announces for
     // everything present at capture time (including skipped dying
     // connections — the rejoiner must not cold-start replicas for them).
-    StTcpEndpoint::ReplConn::PeerProgress* g =
-        ri >= 0 ? &rc->gp[static_cast<std::size_t>(ri)] : nullptr;
-    if (g != nullptr) g->echoed = true;
+    StTcpEndpoint::ReplConn::PeerProgress& g = rc->gp[rejoin_peer_];
+    g.echoed = true;
     tcp::TcpConnection* c = rc->conn;
     if (c == nullptr || !c->is_open() || c->fin_generated() ||
         c->rst_generated()) {
@@ -418,17 +421,13 @@ void Reintegrator::capture_and_send_snapshot() {
     it.read = c->app_bytes_read();
     it.tx = c->unacked_send_data();
     it.rx = c->unread_recv_data();
-    // Baseline the peer counters: the rejoiner's heartbeat records resume
-    // from exactly these values.
-    rc->p_received = it.received;
-    rc->p_acked = it.acked;
-    rc->p_written = it.written;
-    rc->p_read = it.read;
-    rc->peer_valid = true;
-    if (g != nullptr) {
-      g->valid = true;
-      g->received = it.received;
-    }
+    // Baseline the rejoiner's mirror: its heartbeat records resume from
+    // exactly these values.
+    g.valid = true;
+    g.received = it.received;
+    g.acked = it.acked;
+    g.written = it.written;
+    g.read = it.read;
     items.push_back(std::move(it));
   }
 
@@ -575,14 +574,10 @@ void Reintegrator::on_rejoin_ready(std::uint32_t epoch, std::uint8_t member,
     committed_epoch_ = epoch;
     have_committed_ = true;
     ++ep_.stats_.reintegrations;
-    // The rejoiner may still be a few tapped segments behind: restart lag
-    // history so the catch-up is not mistaken for an application failure.
-    for (auto& [id, rc] : ep_.conns_) {
-      rc->lag_read.reset();
-      rc->lag_written.reset();
-      rc->lag_received.reset();
-      rc->lag_acked.reset();
-    }
+    // The rejoiner may still be a few tapped segments behind: restart its
+    // lag history so the catch-up is not mistaken for an application
+    // failure. Live followers keep theirs.
+    for (auto& [id, rc] : ep_.conns_) rc->gp[rejoin_peer_].restart_detection();
     if (ep_.timeline_ != nullptr) {
       ep_.timeline_->mark(obs::Milestone::kReintegrationComplete,
                           ep_.world_.now());

@@ -71,6 +71,8 @@ class Reintegrator {
   int rejoin_member() const { return rejoin_member_; }
   /// The rejoiner has applied this epoch's snapshot and gates commit.
   bool rejoiner_ready() const { return rejoiner_ready_; }
+  /// Give the rejoin up (retry budget spent, or the rejoiner fell silent).
+  void abandon();
 
   /// Control-channel datagrams with type >= kSnapshotBegin from `member`
   /// land here.
@@ -81,16 +83,16 @@ class Reintegrator {
   void begin_reintegration();
   void capture_and_send_snapshot();
   void arm_retry();
-  void abandon();
   void send_commit(std::uint32_t epoch);
 
   // Rejoiner.
   void on_snapshot_begin(net::ByteReader& r);
   void on_snapshot_conn(net::ByteReader& r);
   void on_snapshot_data(net::ByteReader& r);
-  void on_snapshot_end(net::ByteReader& r);
+  void on_snapshot_end(net::ByteReader& r, std::uint8_t leader);
   void on_commit(net::ByteReader& r, std::uint8_t leader);
-  void apply_snapshot();
+  /// `leader`: the member that streamed the snapshot.
+  void apply_snapshot(std::uint8_t leader);
   void send_control(const net::Bytes& payload);
 
   StTcpEndpoint& ep_;
@@ -100,9 +102,9 @@ class Reintegrator {
   std::uint32_t committed_epoch_ = 0;  // survivor: last completed epoch
   bool have_committed_ = false;
   int attempts_ = 0;                   // survivor: snapshots sent this epoch
-  // Survivor side: which member the snapshot flows to (and its address).
+  // Survivor side: which member the snapshot flows to, and its peers_ index.
   int rejoin_member_ = -1;
-  net::Ipv4Addr rejoin_ip_;
+  std::size_t rejoin_peer_ = 0;
   bool rejoiner_ready_ = false;
 
   // Rejoiner: partial snapshot, applied atomically at SnapshotEnd.

@@ -409,6 +409,54 @@ TEST(BlockFailoverTest, RejoinCommitsUnderASustainedDecisionStream) {
 }
 
 // ---------------------------------------------------------------------------
+// Rejoiner silence: from its first rejoin_ready beat the rejoiner's acks gate
+// decision commit. If it dies right after that beat, the survivor must give
+// the rejoin up once both of its channels miss the liveness deadline —
+// responses resume then, not when the snapshot retry budget runs out.
+TEST(BlockFailoverTest, RejoinerSilentAfterItsReadyBeatIsAbandoned) {
+  ScenarioConfig scfg;
+  scfg.seed = 19;
+  BlockStoreConfig acfg;
+  BlockWorkloadConfig wcfg = small_workload(acfg);
+  wcfg.clients = 16;
+  wcfg.think_mean = sim::Duration::millis(5);
+  wcfg.duration = sim::Duration::seconds(5);
+  Rig rig(std::move(scfg), acfg, acfg, wcfg);
+
+  rig.workload.start();
+  rig.topo->inject(Fault::Crash(Node::kPrimary).at(sim::Duration::millis(700)));
+  rig.topo->inject(Fault::PowerOn(Node::kPrimary).at(sim::Duration::millis(2010)));
+
+  const auto& tr = rig.topo->world().trace();
+  const sim::SimTime limit = rig.topo->world().now() + sim::Duration::seconds(12);
+  while (tr.count("snapshot_applied") == 0 && rig.topo->world().now() < limit) {
+    rig.topo->run_for(sim::Duration::micros(1));
+  }
+  ASSERT_EQ(tr.count("snapshot_applied"), 1u) << tr.dump();
+  // The ready beat is on the wire; the rejoiner dies before another one.
+  rig.topo->inject(Fault::Crash(Node::kPrimary));
+  const sim::SimTime crashed_at = rig.topo->world().now();
+  const std::uint64_t responses_at_crash = rig.workload.stats().responses;
+
+  rig.run_to_drain(sim::Duration::seconds(60));
+  EXPECT_EQ(tr.count("reintegration_complete"), 0u) << tr.dump();
+  const auto abandoned = tr.first_time("reintegration_abandoned");
+  ASSERT_TRUE(abandoned.has_value()) << tr.dump();
+  // The liveness deadline (hb_miss_threshold periods plus the half-period
+  // slack every channel check allows), plus one detector tick.
+  const sttcp::StTcpConfig& st = rig.topo->config().sttcp;
+  EXPECT_LE(*abandoned - crashed_at,
+            st.hb_period * st.hb_miss_threshold + st.hb_period / 2 + st.hb_period)
+      << tr.dump();
+  EXPECT_GT(rig.workload.stats().responses, responses_at_crash);
+  expect_clean(rig, {});
+  const BlockWorkload::Stats& ws = rig.workload.stats();
+  EXPECT_EQ(ws.bad_status, 0u);
+  EXPECT_EQ(ws.resets, 0u);
+  EXPECT_EQ(ws.failed, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Seeded chaos sweep: a random crash (any member, random time, including
 // mid-transaction and mid-writeback instants) against a running block
 // workload, at group sizes 2 (the pair) and 3 (one replay replica per extra

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "app/client.h"
@@ -292,6 +293,118 @@ TEST(GreyChaosTest, DutyCycledStutterUnderThresholdIsMasked) {
   EXPECT_FALSE(client.corrupt());
   EXPECT_EQ(topo->world().trace().count("peer_convicted"), 0u)
       << topo->world().trace().dump();
+}
+
+// --- grey followers in a group of three -------------------------------------
+//
+// The leader keeps one progress mirror per follower and convicts the one
+// whose counters lag. Comparing against the fastest follower instead would
+// hide a hung or stalled follower behind its healthy sibling.
+
+struct GreyFollowerCase {
+  const char* name;
+  bool cpu_stall;  // false: application hang
+  Node victim;
+};
+
+void PrintTo(const GreyFollowerCase& c, std::ostream* os) { *os << c.name; }
+
+class GreyFollowerTest : public ::testing::TestWithParam<GreyFollowerCase> {};
+
+/// The grey-sweep setup at N = 3: a 40 MB download, a FileServer on every
+/// member, the stagnation watch armed.
+struct GreyGroupRig {
+  static constexpr std::uint64_t kSize = 40'000'000;
+
+  GreyGroupRig()
+      : topo(build_figure2([] {
+          ScenarioConfig cfg;
+          cfg.seed = 5;
+          cfg.extra_backups = 1;
+          cfg.sttcp.progress_stall_time = GreyOptions{}.progress_stall_time;
+          cfg.sttcp.max_delay_fin = Duration::seconds(20);
+          return cfg;
+        }())),
+        cell(topo->cell()),
+        p_app(cell.primary_stack(), cell.service_port(), kSize),
+        b_app(cell.backup_stack(), cell.service_port(), kSize),
+        b2_app(cell.backup_stack(1), cell.service_port(), kSize),
+        client(*topo->host_by_name("client")->stack, topo->host_by_name("client")->ip,
+               {cell.connect_addr()}, [] {
+                 app::DownloadClient::Options opt;
+                 opt.expected_bytes = kSize;
+                 return opt;
+               }()) {
+    topo->register_server_app(Node::kPrimary, &p_app);
+    topo->register_server_app(Node::kBackup, &b_app);
+    topo->register_server_app(Node::kBackup2, &b2_app);
+  }
+
+  std::unique_ptr<Topology> topo;
+  Cell& cell;
+  app::FileServer p_app, b_app, b2_app;
+  app::DownloadClient client;
+};
+
+TEST_P(GreyFollowerTest, LeaderConvictsTheLaggingFollower) {
+  const GreyFollowerCase& c = GetParam();
+  const Node healthy = c.victim == Node::kBackup ? Node::kBackup2 : Node::kBackup;
+  const std::string victim_name = to_string(c.victim);
+  const Duration fault_at = Duration::millis(400);
+  GreyGroupRig rig;
+  rig.topo->inject(
+      (c.cpu_stall ? Fault::CpuStall(c.victim, sim::LagProfile::stall(Duration::seconds(8)))
+                   : Fault::AppHang(c.victim))
+          .at(fault_at));
+  rig.client.start();
+  rig.topo->run_for(Duration::seconds(30));
+
+  const sim::TraceRecorder& tr = rig.topo->world().trace();
+  EXPECT_TRUE(rig.client.complete()) << tr.dump();
+  EXPECT_FALSE(rig.client.corrupt());
+  EXPECT_EQ(tr.count("takeover"), 0u) << tr.dump();
+  // Exactly one conviction, by the leader, of the victim, from its counters.
+  EXPECT_EQ(tr.count("peer_convicted"), 1u) << tr.dump();
+  const sim::TraceEntry* conviction = tr.first("peer_convicted");
+  ASSERT_NE(conviction, nullptr) << tr.dump();
+  EXPECT_EQ(conviction->component, "primary");
+  EXPECT_EQ(conviction->detail, "app_failure_detected");
+  EXPECT_LE(conviction->at - sim::SimTime::zero(),
+            fault_at + GreyOptions{}.conviction_budget);
+  EXPECT_EQ(tr.count("primary", "member_convicted"), 1u) << tr.dump();
+  const sim::TraceEntry* named = tr.first("member_convicted");
+  ASSERT_NE(named, nullptr);
+  EXPECT_EQ(named->detail, victim_name);
+  for (const sim::TraceEntry& e : tr.entries()) {
+    if (e.event == "member_convicted") {
+      EXPECT_NE(e.detail, to_string(healthy)) << e.component;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GroupOfThree, GreyFollowerTest,
+    ::testing::Values(GreyFollowerCase{"AppHangBackup", false, Node::kBackup},
+                      GreyFollowerCase{"AppHangBackup2", false, Node::kBackup2},
+                      GreyFollowerCase{"CpuStallBackup", true, Node::kBackup},
+                      GreyFollowerCase{"CpuStallBackup2", true, Node::kBackup2}),
+    [](const ::testing::TestParamInfo<GreyFollowerCase>& i) { return i.param.name; });
+
+// A hung rank 1 convicted before the leader dies is fenced out of the
+// promotion: the healthy rank 2 takes over once, and the client sees one
+// takeover, not a promotion of the hung member followed by a second.
+TEST(GreyChaosTest, HungRankOneIsFencedBeforeTheLeaderDies) {
+  GreyGroupRig rig;
+  rig.topo->inject(Fault::AppHang(Node::kBackup).at(Duration::millis(400)));
+  rig.topo->inject(Fault::Crash(Node::kPrimary).at(Duration::millis(2500)));
+  rig.client.start();
+  rig.topo->run_for(Duration::seconds(30));
+
+  const sim::TraceRecorder& tr = rig.topo->world().trace();
+  EXPECT_TRUE(rig.client.complete()) << tr.dump();
+  EXPECT_FALSE(rig.client.corrupt());
+  EXPECT_EQ(tr.count("takeover"), 1u) << tr.dump();
+  EXPECT_EQ(tr.count("backup2", "takeover"), 1u) << tr.dump();
 }
 
 }  // namespace

@@ -415,6 +415,74 @@ TEST(EndpointTest, AnnounceMatchesByTupleNotByReusedId) {
   EXPECT_EQ(tr.count("backup", "replica_id_displaced"), 1u) << tr.dump();
 }
 
+// A leader compares each follower's counters with its own in that follower's
+// mirror. Two followers report diverging app_written values, the lagging one
+// always first: the conviction names the member that lags, never the member
+// whose record arrived last (a shared copy holding the maximum over members
+// would see no lag at all).
+TEST(EndpointTest, LeaderConvictsTheFollowerWhoseMirrorLags) {
+  ScenarioConfig cfg;
+  cfg.extra_backups = 1;
+  auto topo = build_figure2(cfg);
+  Cell& cell = topo->cell();
+  Topology::HostEntry& client_host = *topo->host_by_name("client");
+  app::FileServer p_app(cell.primary_stack(), cell.service_port(), 50'000'000);
+  app::FileServer b_app(cell.backup_stack(), cell.service_port(), 50'000'000);
+  app::FileServer b2_app(cell.backup_stack(1), cell.service_port(), 50'000'000);
+  app::DownloadClient::Options opt;
+  opt.expected_bytes = 50'000'000;
+  app::DownloadClient client(*client_host.stack, client_host.ip,
+                             {cell.connect_addr()}, opt);
+  client.start();
+  topo->run_for(sim::Duration::millis(300));
+  // From here on only forged records speak for the followers.
+  topo->inject(harness::Fault::Crash(harness::Node::kBackup));
+  topo->inject(harness::Fault::Crash(harness::Node::kBackup2));
+  tcp::TcpConnection* served = nullptr;
+  cell.primary_stack().for_each([&](tcp::TcpConnection& c) {
+    if (c.tuple().local.port == cell.service_port()) served = &c;
+  });
+  ASSERT_NE(served, nullptr);
+
+  StTcpEndpoint* p = cell.primary_endpoint();
+  const auto record = [&](std::uint64_t written) {
+    HbRecord rec;
+    rec.repl_id = 1;  // the first primary-range id: the download
+    rec.bytes_received = served->bytes_received();
+    rec.acked_by_peer = served->bytes_acked_by_peer();
+    rec.app_written = written;
+    rec.app_read = served->app_bytes_read();
+    return rec;
+  };
+  const std::uint64_t frozen = served->app_bytes_written();
+  const std::uint16_t hb_port = topo->config().sttcp.hb_port;
+  const auto& tr = topo->world().trace();
+  for (std::uint32_t k = 0; k < 30 && tr.count("member_convicted") == 0; ++k) {
+    // member 1 ("backup") lags; member 2 ("backup2") keeps up and speaks last.
+    for (const std::uint8_t member : {1, 2}) {
+      HeartbeatMsg hb;
+      hb.role = Role::kBackup;
+      hb.hb_seq = 1'000'000 + k;
+      hb.group_valid = true;
+      hb.member = member;
+      hb.view_epoch = p->view().epoch;
+      hb.view_order = p->view().order;
+      hb.records.push_back(record(member == 1 ? frozen : served->app_bytes_written()));
+      client_host.host->udp_send(client_host.ip, hb_port, cell.primary_ip(), hb_port,
+                                 hb.serialize());
+    }
+    topo->run_for(sim::Duration::millis(100));
+  }
+
+  const sim::TraceEntry* convicted = tr.first("member_convicted");
+  ASSERT_NE(convicted, nullptr) << tr.dump();
+  EXPECT_EQ(convicted->component, "primary");
+  EXPECT_EQ(convicted->detail, "backup");
+  const sim::TraceEntry* criterion = tr.first("peer_convicted");
+  ASSERT_NE(criterion, nullptr);
+  EXPECT_EQ(criterion->detail, "app_failure_detected");
+}
+
 // A view order off the wire indexes the roster: a member beyond it (or a
 // repeat) must be refused and counted, never adopted — adopting {0, 7} would
 // fence the receiver and later index cfg.group[7].
