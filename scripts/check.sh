@@ -18,14 +18,16 @@
 # ablation
 # (docs/APPLICATION.md). With --grey, run the grey-failure lane in the Release
 # lane: the bounded-depth interleaving explorer over the failover window
-# plus a 32-seed slow-not-dead sweep convicted by progress counters
-# (docs/CHAOS.md, "Grey failures"). With --group, run the 1+N replication-
-# group lane in the Release lane: the exhaustive three-host promotion-race
-# explorer (single and simultaneous-double failure windows), a 64-seed
-# simultaneous double-failure sweep at N=3, its N=2 negative control, the
-# same schedules against the block store at N=3, and the group
-# reintegration tests (docs/GROUPS.md). The default lane also
-# runs the doc link checker.
+# plus a 32-seed slow-not-dead sweep convicted by progress counters and the
+# grey-follower cases at N=3, where the leader must convict exactly the
+# follower that lags (docs/CHAOS.md, "Grey failures"). With --group, run
+# the 1+N replication-group lane in the Release lane: the exhaustive
+# three-host promotion-race explorer (single and simultaneous-double failure
+# windows), a 64-seed simultaneous double-failure sweep at N=3, its N=2
+# negative control, the same schedules against the block store at N=3, the
+# rejoins a second failure interrupts (mid-snapshot, or a rejoiner silent
+# after its ready beat), and the group reintegration tests
+# (docs/GROUPS.md). The default lane also runs the doc link checker.
 #
 # With --tsan, build the ThreadSanitizer configuration and run the parallel
 # shard-executor, determinism, clock-domain, and grey-sweep tests under it —
@@ -100,10 +102,12 @@ for arg in "$@"; do
       # enumerate the failover window's interleavings at the default bounds,
       # then sweep 32 slow-not-dead schedules — every grey host must be
       # convicted by a progress-counter criterion within budget, with zero
-      # false convictions. Both exit non-zero on any violation.
+      # false convictions. Both exit non-zero on any violation. The N=3
+      # grey-follower cases ride along: the leader convicts the follower
+      # that lags, never its healthy sibling.
       ./build-release/bench/bench_explore 3000
       STTCP_GREY_SEEDS=32 ./build-release/tests/integration_grey_chaos_test \
-        --gtest_filter='*GreySweepHoldsAllInvariants*'
+        --gtest_filter='*GreySweepHoldsAllInvariants*:*GreyFollowerTest*:*HungRankOne*'
       ;;
     --group)
       cmake -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -118,7 +122,7 @@ for arg in "$@"; do
       # zero replay mismatches, survivors' stores identical. Group
       # reintegration (rejoin at lowest rank, second failure during
       # snapshot, with the file server and with the block store) rides
-      # along.
+      # along, with the pair's rejoiner dying right after its ready beat.
       ./build-release/tests/integration_explore_test \
         --gtest_filter='ExploreGroupTest.*'
       STTCP_MULTI_SEEDS=64 STTCP_MULTI_NEG_SEEDS=32 \
@@ -126,7 +130,7 @@ for arg in "$@"; do
         --gtest_filter='*Sweep*:*NegativeControl*'
       STTCP_MULTI_SEEDS=64 \
         ./build-release/tests/integration_block_failover_test \
-        --gtest_filter='*BlockMultiFailureTest*:*MidSnapshot*'
+        --gtest_filter='*BlockMultiFailureTest*:*MidSnapshot*:*RejoinerSilent*'
       ./build-release/tests/sttcp_reintegration_test \
         --gtest_filter='GroupReintegrationTest.*'
       ;;
