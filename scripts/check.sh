@@ -5,9 +5,10 @@
 # — including the reintegration snapshot path — and the telemetry layer are
 # where the pointer-heavy code lives, and the chaos/two-failure sweeps drive
 # the widest state coverage). With --release, also build
-# the optimized lane the benchmarks are measured in and smoke-run bench_micro
-# (see docs/PERFORMANCE.md). With --chaos, run the adversarial multi-fault
-# fuzzer (docs/CHAOS.md) over a fixed seed budget in the Release lane. With
+# the optimized lane the benchmarks are measured in, smoke-run bench_micro
+# and run the benchmark's smoke test (see docs/PERFORMANCE.md). With
+# --chaos, run the adversarial multi-fault fuzzer (docs/CHAOS.md) over a
+# fixed seed budget in the Release lane. With
 # --scale, run the churn capacity bench's quick mode in the Release lane —
 # the invariant-checked mid-churn failover acceptance (see EXPERIMENTS.md,
 # "Capacity and churn"). With --shard, run the 4-shard routed-fabric smoke
@@ -37,7 +38,7 @@
 #   scripts/check.sh             # build + full ctest + doc link check
 #   scripts/check.sh --asan      # additionally: sanitizer lane
 #   scripts/check.sh --tsan      # additionally: TSan parallel-engine lane
-#   scripts/check.sh --release   # additionally: -O2 lane + bench smoke
+#   scripts/check.sh --release   # additionally: -O2 lane + bench + perfbench smoke
 #   scripts/check.sh --chaos     # additionally: 64-seed adversarial fuzz lane
 #   scripts/check.sh --grey      # additionally: explorer + grey-failure lane
 #   scripts/check.sh --group     # additionally: 1+N group double-failure lane
@@ -86,6 +87,10 @@ for arg in "$@"; do
       ./build-release/bench/bench_micro \
         --benchmark_filter='BM_SwitchMulticastFanout/2|BM_InternetChecksum/1460|BM_EventLoopScheduleRun' \
         --benchmark_min_time=0.05
+      # The benchmark's own oracles (perfbench/README.md): every workload at
+      # tiny scale in both trace modes, each run correctness-checked and
+      # printing exactly the metrics BENCHMARK.json names.
+      python3 perfbench/smoke_test.py
       ;;
     --chaos)
       cmake -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -130,6 +130,7 @@ Bytes build_udp_frame(MacAddr eth_dst, MacAddr eth_src, Ipv4Addr ip_src,
   // Serialize the UDP segment first so the pseudo-header checksum can cover it.
   Bytes seg;
   ByteWriter sw(seg);
+  sw.reserve(UdpHeader::kSize + payload.size());
   UdpHeader uh{src_port, dst_port, 0, 0};
   uh.write(sw, payload.size());
   sw.bytes(payload);

@@ -92,29 +92,42 @@ void Link::transmit(int from_port, Frame frame) {
       queue_delay_us_->record(
           static_cast<std::uint64_t>((start - world_.now()).us()));
     }
-    if (in_flight_ != nullptr) in_flight_->set(++in_flight_count_);
 
     const int to_port = 1 - from_port;
     // The duplicate shares the buffer: copying the Frame bumps a refcount.
     Frame out = (c + 1 < copies) ? frame : std::move(frame);
-    world_.loop().schedule_at(arrive, [this, to_port, frame = std::move(out)]() mutable {
-      if (in_flight_ != nullptr) in_flight_->set(--in_flight_count_);
-      // A failure while the frame was in flight kills it: a dead cable
-      // delivers nothing.
-      if (failed_) {
-        ++stats_.frames_dropped;
-        return;
-      }
-      FrameSink* sink = ports_[to_port].sink_;
-      if (sink == nullptr) {
-        ++stats_.frames_dropped;
-        return;
-      }
-      ++stats_.frames_delivered;
-      stats_.bytes_delivered += frame.size();
-      sink->deliver_frame(std::move(frame));
-    });
+    std::uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      in_flight_frames_[slot] = std::move(out);
+    } else {
+      slot = static_cast<std::uint32_t>(in_flight_frames_.size());
+      in_flight_frames_.push_back(std::move(out));
+    }
+    if (in_flight_ != nullptr) in_flight_->set(in_flight_count());
+    world_.loop().schedule_at(arrive, [this, to_port, slot] { deliver(to_port, slot); });
   }
+}
+
+void Link::deliver(int to_port, std::uint32_t slot) {
+  Frame frame = std::move(in_flight_frames_[slot]);
+  free_slots_.push_back(slot);
+  if (in_flight_ != nullptr) in_flight_->set(in_flight_count());
+  // A failure while the frame was in flight kills it: a dead cable
+  // delivers nothing.
+  if (failed_) {
+    ++stats_.frames_dropped;
+    return;
+  }
+  FrameSink* sink = ports_[to_port].sink_;
+  if (sink == nullptr) {
+    ++stats_.frames_dropped;
+    return;
+  }
+  ++stats_.frames_delivered;
+  stats_.bytes_delivered += frame.size();
+  sink->deliver_frame(std::move(frame));
 }
 
 }  // namespace sttcp::net

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/bytes.h"
 #include "net/frame.h"
@@ -97,6 +98,11 @@ class Link {
 
  private:
   void transmit(int from_port, Frame frame);
+  /// The delivery event of the frame parked in `slot`.
+  void deliver(int to_port, std::uint32_t slot);
+  std::int64_t in_flight_count() const {
+    return static_cast<std::int64_t>(in_flight_frames_.size() - free_slots_.size());
+  }
 
   sim::World& world_;
   sim::Duration latency_;
@@ -112,10 +118,15 @@ class Link {
   bool failed_ = false;
   Stats stats_;
 
+  // Frames on the wire, parked by slot until their delivery event runs. The
+  // event captures only (this, port, slot), which std::function stores
+  // without a heap allocation; a freed slot is reused by the next frame.
+  std::vector<Frame> in_flight_frames_;
+  std::vector<std::uint32_t> free_slots_;
+
   // Telemetry (null unless bind_metrics was called).
   obs::Histogram* queue_delay_us_ = nullptr;
   obs::Gauge* in_flight_ = nullptr;
-  int in_flight_count_ = 0;
 };
 
 }  // namespace sttcp::net

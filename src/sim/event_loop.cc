@@ -171,13 +171,18 @@ void OneShotTimer::arm(Duration d, EventLoop::Callback cb) {
 void OneShotTimer::arm_at(SimTime t, EventLoop::Callback cb) {
   cancel();
   deadline_ = t;
-  // Clear id_ before invoking so the callback can re-arm this same timer.
-  auto wrapped = [this, cb = std::move(cb)]() {
-    id_ = 0;
-    cb();
-  };
-  id_ = domain_ ? domain_->schedule_at(t, std::move(wrapped))
-                : loop_.schedule_at(t, std::move(wrapped));
+  cb_ = std::move(cb);
+  auto shot = [this] { fire(); };
+  id_ = domain_ ? domain_->schedule_at(t, shot) : loop_.schedule_at(t, shot);
+}
+
+void OneShotTimer::fire() {
+  // Disarm and take the callback out before invoking it: the callback may
+  // re-arm this timer (storing a new cb_) or destroy it, so no member is
+  // touched after the call.
+  id_ = 0;
+  EventLoop::Callback cb = std::move(cb_);
+  cb();
 }
 
 void OneShotTimer::cancel() {
@@ -189,6 +194,7 @@ void OneShotTimer::cancel() {
     }
     id_ = 0;
   }
+  cb_ = nullptr;
 }
 
 PeriodicTimer::PeriodicTimer(ClockDomain& domain)

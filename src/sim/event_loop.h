@@ -156,7 +156,9 @@ class EventLoop {
 /// A restartable one-shot timer bound to an EventLoop. Convenience wrapper
 /// used by protocol state machines for retransmission / heartbeat / delay
 /// timers: re-arming implicitly cancels the previous shot, and destruction
-/// cancels any pending shot (no callbacks into destroyed objects).
+/// cancels any pending shot (no callbacks into destroyed objects). The timer
+/// owns its callback; the loop event captures only `this`, so arming
+/// allocates nothing beyond what the callback itself needs.
 class ClockDomain;  // sim/clock_domain.h — per-host grey-failure skew
 
 class OneShotTimer {
@@ -174,16 +176,20 @@ class OneShotTimer {
   void arm(Duration d, EventLoop::Callback cb);
   /// Arm (or re-arm) to fire at absolute time `t`.
   void arm_at(SimTime t, EventLoop::Callback cb);
+  /// Disarm and release the callback (its captures are destroyed now).
   void cancel();
   bool armed() const { return id_ != 0; }
   /// Absolute expiry time, or SimTime::never() when unarmed.
   SimTime deadline() const { return id_ != 0 ? deadline_ : SimTime::never(); }
 
  private:
+  void fire();
+
   EventLoop& loop_;
   ClockDomain* domain_ = nullptr;  // set iff constructed from a ClockDomain
   TimerId id_ = 0;
   SimTime deadline_;
+  EventLoop::Callback cb_;
 };
 
 /// A periodic timer: fires every `period` until stopped or destroyed.

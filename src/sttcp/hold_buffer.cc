@@ -18,7 +18,7 @@ bool HoldBuffer::append(std::uint64_t at, net::BytesView data) {
     overflowed_ = true;
     return false;
   }
-  data_.insert(data_.end(), data.begin(), data.end());
+  data_.append(data);
   return true;
 }
 
@@ -26,17 +26,13 @@ void HoldBuffer::release_to(std::uint64_t upto) {
   if (upto <= start_) return;
   const std::size_t n =
       std::min(static_cast<std::size_t>(upto - start_), data_.size());
-  data_.erase(data_.begin(), data_.begin() + n);
+  data_.consume(n);
   start_ += n;
 }
 
 net::Bytes HoldBuffer::slice(std::uint64_t from, std::size_t len) const {
-  net::Bytes out;
-  if (from < start_ || from >= end_offset()) return out;
-  const std::size_t begin = static_cast<std::size_t>(from - start_);
-  const std::size_t n = std::min(len, data_.size() - begin);
-  out.insert(out.end(), data_.begin() + begin, data_.begin() + begin + n);
-  return out;
+  if (from < start_ || from >= end_offset()) return {};
+  return net::to_bytes(data_.view(static_cast<std::size_t>(from - start_), len));
 }
 
 void HoldBuffer::clear() {

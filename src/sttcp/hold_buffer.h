@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "net/byte_queue.h"
 #include "net/bytes.h"
 
 namespace sttcp::sttcp {
@@ -44,7 +44,7 @@ class HoldBuffer {
  private:
   std::size_t capacity_;
   std::uint64_t start_ = 0;
-  std::deque<std::uint8_t> data_;
+  net::ByteQueue data_;
   bool overflowed_ = false;
 };
 

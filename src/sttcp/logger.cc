@@ -108,10 +108,10 @@ void StreamLogger::on_tcp(const net::Ipv4Header& ip, net::BytesView l4) {
   net::Bytes drained = s.reasm.read(1 << 30);
   if (!drained.empty()) {
     stats_.bytes_logged += drained.size();
-    s.log.insert(s.log.end(), drained.begin(), drained.end());
+    s.log.append(drained);
     if (s.log.size() > cfg_.retention) {
       const std::size_t drop = s.log.size() - cfg_.retention;
-      s.log.erase(s.log.begin(), s.log.begin() + static_cast<std::ptrdiff_t>(drop));
+      s.log.consume(drop);
       s.log_start += drop;
     }
   }
@@ -142,10 +142,8 @@ void StreamLogger::on_request(net::Ipv4Addr src, std::uint16_t src_port,
   if (req->offset >= s.log_start &&
       req->offset < s.log_start + s.log.size()) {
     const std::size_t begin = static_cast<std::size_t>(req->offset - s.log_start);
-    const std::size_t n =
-        std::min<std::size_t>({req->length, s.log.size() - begin, 1200});
-    rep.data.assign(s.log.begin() + static_cast<std::ptrdiff_t>(begin),
-                    s.log.begin() + static_cast<std::ptrdiff_t>(begin + n));
+    rep.data = net::to_bytes(
+        s.log.view(begin, std::min<std::size_t>(req->length, 1200)));
   }
   ++stats_.requests_served;
   stats_.bytes_served += rep.data.size();

@@ -15,11 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 
+#include "net/byte_queue.h"
 #include "net/host.h"
 #include "tcp/reassembly.h"
 #include "tcp/segment.h"
@@ -89,9 +89,9 @@ class StreamLogger {
     tcp::SeqAbs irs = 0;
     tcp::ReassemblyBuffer reasm;
     // Contiguous log storage: bytes [log_start, log_start + log.size()).
-    // A deque so retention trimming from the front stays O(dropped).
+    // Retention trimming from the front stays O(dropped) amortized.
     std::uint64_t log_start = 0;
-    std::deque<std::uint8_t> log;
+    net::ByteQueue log;
   };
 
   struct StreamKey {

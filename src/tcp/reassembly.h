@@ -6,10 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 
+#include "net/byte_queue.h"
 #include "net/bytes.h"
 
 namespace sttcp::tcp {
@@ -29,7 +29,7 @@ class ReassemblyBuffer {
   /// Copy the in-order readable bytes without consuming them. A connection
   /// snapshot (ST-TCP reintegration) ships these to the rejoining replica so
   /// its buffer matches ours byte for byte.
-  net::Bytes peek() const { return net::Bytes(ready_.begin(), ready_.end()); }
+  net::Bytes peek() const { return net::to_bytes(ready_.view(0, ready_.size())); }
 
   /// Re-base an empty buffer so the next expected absolute offset is
   /// `offset`: a replica adopted mid-stream starts counting where the
@@ -73,14 +73,14 @@ class ReassemblyBuffer {
  private:
   void deliver(std::uint64_t offset, net::BytesView data) {
     if (deliver_tap_) deliver_tap_(offset, data);
-    ready_.insert(ready_.end(), data.begin(), data.end());
+    ready_.append(data);
   }
 
   std::size_t ooo_bytes() const;
 
   std::size_t capacity_;
   std::uint64_t next_ = 0;                       // next expected absolute offset
-  std::deque<std::uint8_t> ready_;               // in-order, unread bytes
+  net::ByteQueue ready_;                         // in-order, unread bytes
   std::map<std::uint64_t, net::Bytes> ooo_;      // offset -> fragment (disjoint)
   DeliverTap deliver_tap_;
 };

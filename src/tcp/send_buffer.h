@@ -4,8 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "net/byte_queue.h"
 #include "net/bytes.h"
 
 namespace sttcp::tcp {
@@ -47,7 +47,7 @@ class SendBuffer {
  private:
   std::size_t capacity_;
   std::uint64_t una_ = 0;           // absolute offset of data_.front()
-  std::deque<std::uint8_t> data_;   // bytes [una_, una_ + size)
+  net::ByteQueue data_;             // bytes [una_, una_ + size)
 };
 
 }  // namespace sttcp::tcp

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace sttcp::sim {
@@ -162,6 +163,51 @@ TEST(OneShotTimerTest, DestructionCancels) {
   }
   loop.run();
   EXPECT_FALSE(ran);
+}
+
+TEST(OneShotTimerTest, RearmedFromItsOwnCallbackFiresAgain) {
+  EventLoop loop;
+  OneShotTimer t(loop);
+  std::vector<std::pair<int, SimTime>> fires;
+  t.arm(Duration::millis(5), [&] {
+    fires.emplace_back(1, loop.now());
+    t.arm(Duration::millis(7), [&] { fires.emplace_back(2, loop.now()); });
+    EXPECT_TRUE(t.armed());
+  });
+  loop.run();
+  ASSERT_EQ(fires.size(), 2u);
+  EXPECT_EQ(fires[0], std::make_pair(1, SimTime::zero() + Duration::millis(5)));
+  EXPECT_EQ(fires[1], std::make_pair(2, SimTime::zero() + Duration::millis(12)));
+  EXPECT_FALSE(t.armed());
+}
+
+TEST(OneShotTimerTest, CancelReleasesCapturesAtOnce) {
+  EventLoop loop;
+  OneShotTimer t(loop);
+  auto token = std::make_shared<int>(0);
+  t.arm(Duration::millis(5), [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  t.cancel();
+  EXPECT_EQ(token.use_count(), 1);  // not held until the stale event surfaces
+  t.arm(Duration::millis(5), [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  loop.run();
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);  // a fired callback is released too
+}
+
+TEST(OneShotTimerTest, DestroyedInsideItsCallbackIsSafe) {
+  EventLoop loop;
+  auto t = std::make_unique<OneShotTimer>(loop);
+  auto token = std::make_shared<int>(0);
+  t->arm(Duration::millis(1), [&t, token] {
+    t.reset();  // the timer dies while its callback runs
+    ++*token;   // the captures are still alive until the call returns
+  });
+  loop.run();
+  EXPECT_EQ(t, nullptr);
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(PeriodicTimerTest, FiresAtEachPeriod) {
