@@ -3,7 +3,7 @@
 // transfer (simulated seconds per wall second).
 #include <benchmark/benchmark.h>
 
-#include <queue>
+#include <functional>
 
 #include "app/client.h"
 #include "app/server.h"
@@ -12,7 +12,6 @@
 #include "net/nic.h"
 #include "net/switch.h"
 #include "sim/random.h"
-#include "sim/timer_wheel.h"
 #include "sttcp/messages.h"
 #include "tcp/reassembly.h"
 #include "tcp/segment.h"
@@ -276,67 +275,34 @@ void BM_DemuxMapBaseline(benchmark::State& state) {
 BENCHMARK(BM_DemuxMapBaseline)->Arg(1)->Arg(256)->Arg(2048);
 
 // ---------------------------------------------------------------------------
-// Timer churn: the hierarchical wheel vs the binary heap it replaced.
-// Workload: `armed` timers stay armed; each operation pops the earliest and
-// re-arms it a pseudo-random RTO-ish interval later — the ACK-clock pattern
-// a loaded TCP stack drives (every ACK cancels + re-arms the connection's
-// retransmission timer).
+// Timer churn through the EventLoop's pending queue. `armed` timers stay
+// armed; each operation cancels and re-arms one of them a pseudo-random
+// RTO-ish interval ahead (an ACK pushing its connection's retransmission
+// timer out), then runs the earliest shot, which re-arms itself — the
+// pattern a loaded TCP stack drives. 45,000 armed is about churn's
+// sim.pending_peak.
 // ---------------------------------------------------------------------------
 
-/// The pre-wheel EventLoop queue, preserved as a baseline: a std::push_heap/
-/// pop_heap binary heap over (at, seq).
-struct BaselineSlotHeap {
-  struct Order {
-    bool operator()(const sim::WheelEntry& x, const sim::WheelEntry& y) const {
-      if (x.at.ns() != y.at.ns()) return x.at.ns() > y.at.ns();
-      return x.seq > y.seq;
-    }
-  };
-  void push(sim::WheelEntry e) {
-    v.push_back(e);
-    std::push_heap(v.begin(), v.end(), Order{});
-  }
-  sim::WheelEntry pop_min() {
-    std::pop_heap(v.begin(), v.end(), Order{});
-    sim::WheelEntry e = v.back();
-    v.pop_back();
-    return e;
-  }
-  std::vector<sim::WheelEntry> v;
-};
-
-template <typename Queue>
-void timer_churn(benchmark::State& state, Queue& q) {
-  const int armed = static_cast<int>(state.range(0));
+void BM_EventLoopTimerChurn(benchmark::State& state) {
+  const auto armed = static_cast<std::size_t>(state.range(0));
+  sim::EventLoop loop;
   sim::Rng rng(42);
-  std::uint64_t seq = 0;
-  sim::SimTime now = sim::SimTime::zero();
-  const auto next_deadline = [&] {
-    // 1 us .. ~64 ms ahead: spans wheel levels 0-5 like real RTO/keepalive
-    // timer mixes do.
-    return now + sim::Duration::nanos(
-                     1024 + static_cast<std::int64_t>(rng.below(1 << 26)));
+  std::vector<sim::TimerId> ids(armed);
+  std::function<void(std::size_t)> arm = [&](std::size_t i) {
+    // 1 us .. ~64 ms ahead, like real RTO/keepalive timer mixes.
+    const auto d = sim::Duration::nanos(1024 + static_cast<std::int64_t>(rng.below(1 << 26)));
+    ids[i] = loop.schedule_after(d, [&arm, i] { arm(i); });
   };
-  for (int i = 0; i < armed; ++i) q.push({next_deadline(), seq++, 0, 0});
+  for (std::size_t i = 0; i < armed; ++i) arm(i);
   for (auto _ : state) {
-    sim::WheelEntry e = q.pop_min();
-    now = e.at;
-    q.push({next_deadline(), seq++, 0, 0});
+    const std::size_t i = rng.below(armed);
+    loop.cancel(ids[i]);
+    arm(i);
+    benchmark::DoNotOptimize(loop.step());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_TimerWheelChurn(benchmark::State& state) {
-  sim::TimerWheel wheel;
-  timer_churn(state, wheel);
-}
-BENCHMARK(BM_TimerWheelChurn)->Arg(100)->Arg(10000);
-
-void BM_TimerHeapChurnBaseline(benchmark::State& state) {
-  BaselineSlotHeap heap;
-  timer_churn(state, heap);
-}
-BENCHMARK(BM_TimerHeapChurnBaseline)->Arg(100)->Arg(10000);
+BENCHMARK(BM_EventLoopTimerChurn)->Arg(100)->Arg(10000)->Arg(45000);
 
 void BM_SimulatedTransferThroughput(benchmark::State& state) {
   // How much simulated work one wall-clock second buys: a full 10 MB

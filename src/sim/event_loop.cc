@@ -9,6 +9,12 @@
 
 namespace sttcp::sim {
 
+namespace {
+
+constexpr std::size_t kArity = 4;
+
+}  // namespace
+
 TimerId EventLoop::schedule_at(SimTime t, Callback cb) {
   if (t < now_) t = now_;
   std::uint32_t slot;
@@ -19,23 +25,49 @@ TimerId EventLoop::schedule_at(SimTime t, Callback cb) {
   } else {
     slot = static_cast<std::uint32_t>(gens_.size());
     gens_.push_back(1);  // generation 0 is never issued, so no TimerId is 0
-    meta_.emplace_back();
     cbs_.push_back(std::move(cb));
   }
   const std::uint32_t gen = gens_[slot];
-  const std::uint64_t seq = next_seq_++;
-  meta_[slot] = SlotMeta{t, seq, gen};
-  wheel_.push(WheelEntry{t, seq, slot, gen});
+  heap_.push_back(Entry{t, next_seq_++, slot, gen});
+  sift_up(heap_.size() - 1);
   ++live_;
   return (static_cast<TimerId>(slot) << 32) | gen;
 }
 
+void EventLoop::sift_up(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!(e < heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
+}
+
+void EventLoop::sift_down(std::size_t i) {
+  const Entry e = heap_[i];
+  const std::size_t n = heap_.size();
+  while (true) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t last = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    if (!(heap_[best] < e)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = e;
+}
+
 std::vector<EventLoop::ReadyEvent> EventLoop::ready_events(SimTime horizon) const {
   std::vector<ReadyEvent> out;
-  for (std::uint32_t slot = 0; slot < gens_.size(); ++slot) {
-    const SlotMeta& m = meta_[slot];
-    if (m.gen == 0 || m.gen != gens_[slot] || m.at > horizon) continue;
-    out.push_back(ReadyEvent{(static_cast<TimerId>(slot) << 32) | m.gen, m.at, m.seq});
+  for (const Entry& e : heap_) {
+    if (gens_[e.slot] != e.gen || e.at > horizon) continue;
+    out.push_back(ReadyEvent{(static_cast<TimerId>(e.slot) << 32) | e.gen, e.at, e.seq});
   }
   std::sort(out.begin(), out.end(), [](const ReadyEvent& a, const ReadyEvent& b) {
     if (a.at != b.at) return a.at < b.at;
@@ -46,19 +78,23 @@ std::vector<EventLoop::ReadyEvent> EventLoop::ready_events(SimTime horizon) cons
 
 SimTime EventLoop::next_event_at() {
   drop_stale_top();
-  return wheel_.empty() ? SimTime::never() : wheel_.peek_min().at;
+  return heap_.empty() ? SimTime::never() : heap_.front().at;
 }
 
 bool EventLoop::run_event(TimerId id) {
   const auto slot = static_cast<std::uint32_t>(id >> 32);
   const auto gen = static_cast<std::uint32_t>(id);
   if (slot >= gens_.size() || gens_[slot] != gen || gen == 0) return false;
-  // Consume like cancel(): bump the generation so the wheel entry is
+  // A live id has exactly one heap entry; find its timestamp.
+  const auto it = std::find_if(heap_.begin(), heap_.end(), [&](const Entry& e) {
+    return e.slot == slot && e.gen == gen;
+  });
+  // Consume like cancel(): bump the generation so the heap entry is
   // recognised as stale when it surfaces (which also recycles the slot).
   const Callback cb = std::move(cbs_[slot]);
   if (++gens_[slot] == 0) gens_[slot] = 1;
   --live_;
-  if (meta_[slot].at > now_) now_ = meta_[slot].at;
+  if (it->at > now_) now_ = it->at;
   ++executed_;
   cb();
   return true;
@@ -68,28 +104,39 @@ bool EventLoop::cancel(TimerId id) {
   const auto slot = static_cast<std::uint32_t>(id >> 32);
   const auto gen = static_cast<std::uint32_t>(id);
   if (slot >= gens_.size() || gens_[slot] != gen || gen == 0) return false;
-  // Invalidate: the wheel entry (still bucketed) no longer matches and will
-  // be discarded when it surfaces; the slot is recycled at that point.
+  // Invalidate: the heap entry no longer matches and will be discarded when
+  // it surfaces; the slot is recycled at that point.
   if (++gens_[slot] == 0) gens_[slot] = 1;
   --live_;
-  // Bound the dead-entry backlog: when stale entries dominate the wheel,
+  // Bound the dead-entry backlog: when stale entries dominate the heap,
   // sweep them out instead of waiting for each to surface.
-  if (wheel_.size() >= 64 && wheel_.size() > 2 * (live_ + 32)) compact();
+  if (heap_.size() >= 64 && heap_.size() > 2 * (live_ + 32)) compact();
   return true;
 }
 
 void EventLoop::compact() {
-  wheel_.sweep(
-      [this](const WheelEntry& e) { return gens_[e.slot] != e.gen; },
-      [this](const WheelEntry& e) {
-        cbs_[e.slot] = nullptr;  // destroy the cancelled callback's captures
-        free_slots_.push_back(e.slot);
-      });
+  std::size_t kept = 0;
+  for (const Entry& e : heap_) {
+    if (gens_[e.slot] == e.gen) {
+      heap_[kept++] = e;
+    } else {
+      cbs_[e.slot] = nullptr;  // destroy the cancelled callback's captures
+      free_slots_.push_back(e.slot);
+    }
+  }
+  heap_.resize(kept);
+  // Floyd's heapify: sift every internal node down, the last one first.
+  if (kept > 1) {
+    for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;) sift_down(i);
+  }
 }
 
-WheelEntry EventLoop::pop_top() {
-  const WheelEntry e = wheel_.pop_min();
-  // The slot's only wheel entry is gone: retire the generation (so the
+EventLoop::Entry EventLoop::pop_top() {
+  const Entry e = heap_.front();
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
+  // The slot's only heap entry is gone: retire the generation (so the
   // original TimerId can no longer cancel anything) and free the slot.
   if (gens_[e.slot] == e.gen) {
     if (++gens_[e.slot] == 0) gens_[e.slot] = 1;
@@ -99,19 +146,16 @@ WheelEntry EventLoop::pop_top() {
 }
 
 void EventLoop::drop_stale_top() {
-  while (!wheel_.empty()) {
-    const WheelEntry& top = wheel_.peek_min();
-    if (gens_[top.slot] == top.gen) break;
-    const WheelEntry e = pop_top();
+  while (!heap_.empty() && gens_[heap_.front().slot] != heap_.front().gen) {
+    const Entry e = pop_top();
     cbs_[e.slot] = nullptr;  // destroy the cancelled callback's captures now
   }
 }
 
 bool EventLoop::step() {
-  while (!wheel_.empty()) {
-    const WheelEntry& top = wheel_.peek_min();
-    const bool was_live = gens_[top.slot] == top.gen;
-    const WheelEntry e = pop_top();
+  while (!heap_.empty()) {
+    const bool was_live = gens_[heap_.front().slot] == heap_.front().gen;
+    const Entry e = pop_top();
     // Take the callback out before running it: it may reuse the freed slot.
     const Callback cb = std::move(cbs_[e.slot]);
     if (!was_live) continue;  // cancelled: discard silently
@@ -142,7 +186,7 @@ std::uint64_t EventLoop::run_until(SimTime t) {
   while (!stopped_) {
     // Skip over cancelled entries to find the true next timestamp.
     drop_stale_top();
-    if (wheel_.empty() || wheel_.peek_min().at > t) break;
+    if (heap_.empty() || heap_.front().at > t) break;
     if (step()) ++n;
   }
   if (now_ < t) now_ = t;
@@ -154,7 +198,7 @@ std::uint64_t EventLoop::run_before(SimTime t) {
   std::uint64_t n = 0;
   while (!stopped_) {
     drop_stale_top();
-    if (wheel_.empty() || wheel_.peek_min().at >= t) break;
+    if (heap_.empty() || heap_.front().at >= t) break;
     if (step()) ++n;
   }
   if (now_ < t) now_ = t;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "sim/timer_wheel.h"
 
 namespace sttcp::sim {
 
@@ -85,7 +84,8 @@ class EventLoop {
   // The exhaustive schedule explorer (src/harness/explore.h) needs to see
   // the loop's ready set and force a chosen event to run out of timestamp
   // order, modeling bounded delivery/scheduling delay. Normal runs never
-  // call these; they add two stores per schedule_at and nothing else.
+  // call these; both read the pending queue itself, so they cost nothing
+  // when unused.
 
   /// One pending event as the explorer sees it.
   struct ReadyEvent {
@@ -95,7 +95,8 @@ class EventLoop {
   };
 
   /// All live pending events with `at` <= horizon, in (at, seq) order.
-  /// O(slots) — intended for tiny exploration worlds, not hot paths.
+  /// O(n log n) in the queue size — intended for tiny exploration worlds,
+  /// not hot paths.
   std::vector<ReadyEvent> ready_events(SimTime horizon) const;
 
   /// Earliest live pending timestamp, or SimTime::never() when idle.
@@ -110,40 +111,38 @@ class EventLoop {
   bool run_event(TimerId id);
 
  private:
-  // Pending events live in a hierarchical timing wheel (sim/timer_wheel.h)
-  // as small POD entries; the callback lives in a slot-indexed side vector.
-  // Arm and cancel are O(1): cancel() bumps the slot's generation so the
-  // wheel entry is recognized as stale and discarded when it surfaces. A
-  // slot is returned to the free list only when its entry leaves the wheel,
-  // so at most one wheel entry ever references a slot. The wheel pops in
-  // strict (at, seq) order — the same total order the old binary heap used,
-  // so scenarios are bit-identical across the swap.
-
-  /// Pop the earliest wheel entry and release its slot; returns the entry.
-  WheelEntry pop_top();
-  /// Discard stale (cancelled) entries at the front of the wheel.
-  void drop_stale_top();
-  /// Remove every stale entry from the wheel in one pass. Lazy cancellation
-  /// leaves one dead entry per cancel until it surfaces; workloads that
-  /// re-arm timers constantly (an RTO re-armed on every ACK across thousands
-  /// of churning connections) would otherwise grow the wheel far past the
-  /// live event count. Sweeping cannot change execution order: (at, seq) is
-  /// a total order, so pop order is independent of bucket contents.
-  void compact();
-
-  /// Side metadata for the explorer hooks: what (at, seq) a slot's pending
-  /// entry carries, valid only while `gen` matches the slot's live
-  /// generation (cancel/pop bump the generation, invalidating this lazily).
-  struct SlotMeta {
+  // Pending events live in a 4-ary min-heap of small POD entries ordered by
+  // (at, seq); the callback lives in a slot-indexed side vector. Cancel is
+  // O(1): it bumps the slot's generation so the heap entry is recognized as
+  // stale and discarded when it surfaces. A slot is returned to the free
+  // list only when its entry leaves the heap, so at most one heap entry ever
+  // references a slot. (at, seq) is a total order, so the pop order — and
+  // with it every fixed-seed run — does not depend on the heap's shape.
+  struct Entry {
     SimTime at;
-    std::uint64_t seq = 0;
-    std::uint32_t gen = 0;  // 0 never matches a live generation
+    std::uint64_t seq = 0;   // tie-break: FIFO among equal timestamps
+    std::uint32_t slot = 0;  // callback slot
+    std::uint32_t gen = 0;   // generation the slot had when scheduled
+    bool operator<(const Entry& o) const { return at != o.at ? at < o.at : seq < o.seq; }
   };
 
+  /// Restore the heap order for the entry at index i, moving it up/down.
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Pop the earliest heap entry and release its slot; returns the entry.
+  Entry pop_top();
+  /// Discard stale (cancelled) entries at the top of the heap.
+  void drop_stale_top();
+  /// Remove every stale entry from the heap in one pass and re-heapify.
+  /// Lazy cancellation leaves one dead entry per cancel until it surfaces;
+  /// workloads that re-arm timers constantly (an RTO re-armed on every ACK
+  /// across thousands of churning connections) would otherwise grow the
+  /// heap far past the live event count.
+  void compact();
+
   SimTime now_;
-  TimerWheel wheel_;
+  std::vector<Entry> heap_;          // 4-ary min-heap over (at, seq)
   std::vector<std::uint32_t> gens_;  // slot -> current live generation
-  std::vector<SlotMeta> meta_;       // slot -> pending (at, seq) snapshot
   std::vector<Callback> cbs_;        // slot -> pending callback
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;

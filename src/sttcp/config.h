@@ -59,16 +59,6 @@ struct StTcpConfig {
   /// (every record on every beat, the paper's ~100-connection regime). The
   /// IP copy always carries every record.
   std::size_t serial_max_records = 0;
-  /// Derive the service's accept-side ISN from a keyed function of the
-  /// 4-tuple (RFC 6528 shape) instead of a random draw. Primary and backup
-  /// share the function, so the backup builds a replica from the tapped
-  /// client SYN alone — closing the window where a primary under load
-  /// accepts a connection and dies with both the announce heartbeat and the
-  /// SYN-ACK still queued behind a data backlog (neither ever reaches the
-  /// wire, and without this the client's retransmitted request draws an RST
-  /// after takeover). Off = announce + handshake-ACK inference only, the
-  /// paper's original mechanism.
-  bool deterministic_isn = true;
 
   // --- application-failure detection (§4.2.1) ----------------------------------
   /// AppMaxLagBytes: peer app read/write position lagging by this many bytes…

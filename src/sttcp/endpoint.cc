@@ -72,17 +72,19 @@ void StTcpEndpoint::start() {
   update_group_gauges();
 
   stack_.set_observer(this);
-  if (cfg_.deterministic_isn) {
-    // Every member installs the same keyed ISN function: the leader uses it
-    // to pick the ISS in its SYN-ACK, a follower to reconstruct that ISS from
-    // a tapped SYN, and a promoted follower keeps using it for fresh accepts.
-    stack_.set_accept_isn_fn([this](const tcp::FourTuple& t) {
-      if (t.local.ip == cfg_.service_ip && t.local.port == cfg_.service_port) {
-        return service_isn(t);
-      }
-      return stack_.choose_isn();  // non-service listeners: random as before
-    });
-  }
+  // Every member installs the same keyed ISN function (RFC 6528 shape):
+  // the leader uses it to pick the ISS in its SYN-ACK, a follower to
+  // reconstruct that ISS from a tapped SYN, and a promoted follower keeps
+  // using it for fresh accepts. A follower therefore builds a replica from
+  // the tapped client SYN alone, closing the window where a loaded leader
+  // accepts a connection and dies with both the announce heartbeat and the
+  // SYN-ACK still queued behind a data backlog.
+  stack_.set_accept_isn_fn([this](const tcp::FourTuple& t) {
+    if (t.local.ip == cfg_.service_ip && t.local.port == cfg_.service_port) {
+      return service_isn(t);
+    }
+    return stack_.choose_isn();  // non-service listeners: random as before
+  });
   if (role_ == Role::kBackup) install_replica_seams();
 
   host_.udp_bind(cfg_.hb_port, [this](net::Ipv4Addr, std::uint16_t,

@@ -318,7 +318,7 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   /// accept-ISN function; the replica finishes the handshake passively.
   void create_replica_inferred(const tcp::FourTuple& tuple, tcp::SeqWire iss,
                                tcp::SeqWire irs, bool established);
-  /// Keyed accept-side ISN for the service (cfg.deterministic_isn).
+  /// Keyed accept-side ISN for the service, shared by every member.
   tcp::SeqWire service_isn(const tcp::FourTuple& t) const;
 
   // FIN arbitration.

@@ -178,7 +178,7 @@ TEST(EventLoopExplorerHooks, ReadySetAndForcedOrder) {
   EXPECT_EQ(loop.now(), SimTime::zero() + 20_ms) << "late events do not rewind time";
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
   EXPECT_EQ(loop.pending(), 0u);
-  // The wheel still holds the consumed entries; draining must not re-run them.
+  // The heap still holds the consumed entries; draining must not re-run them.
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
 }

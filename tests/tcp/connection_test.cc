@@ -141,18 +141,24 @@ TEST_F(ConnectionTest, AbortSendsRstToPeer) {
     s.set_callbacks(std::move(scb));
   });
   TcpConnection* cp = nullptr;
+  bool rst_generated = false;
   TcpConnection::Callbacks ccb;
   // Abort shortly after establishment so the server has completed its accept
   // (an abort racing the handshake legitimately never reaches the app).
+  // The stack frees the aborted connection soon after, so the flag is read
+  // right after abort(), while `cp` is still valid.
   ccb.on_established = [&] {
-    net_.world.loop().schedule_after(sim::Duration::millis(10), [&] { cp->abort(); });
+    net_.world.loop().schedule_after(sim::Duration::millis(10), [&] {
+      cp->abort();
+      rst_generated = cp->rst_generated();
+    });
   };
   cp = &client_stack_->connect(net_.ip(0), net::SocketAddr{net_.ip(1), 80},
                                std::move(ccb));
   run_for(sim::Duration::millis(100));
   EXPECT_TRUE(server_closed);
   EXPECT_EQ(server_reason, CloseReason::kReset);
-  EXPECT_TRUE(cp->rst_generated());
+  EXPECT_TRUE(rst_generated);
 }
 
 TEST_F(ConnectionTest, LostDataSegmentIsRetransmitted) {
