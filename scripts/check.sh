@@ -13,7 +13,8 @@
 # (router death + inter-subnet partition under churn, docs/ROUTING.md) in
 # the Release lane. With --app, run the replicated block-store application
 # lane in the Release lane: the 200-seed crash sweep at group sizes 2 and 3
-# under the response-exactness invariant plus the warm/cold-cache failover
+# under the response-exactness invariant, the decision-beat loss tests (gap
+# report and resend, pair and N=3) plus the warm/cold-cache failover
 # ablation
 # (docs/APPLICATION.md). With --grey, run the grey-failure lane in the Release
 # lane: the bounded-depth interleaving explorer over the failover window
@@ -163,10 +164,13 @@ for arg in "$@"; do
       # a random point — half of the schedules aimed into the
       # cache-writeback window — every response byte checked against the
       # client oracles (zero RSTs, zero mismatches, zero replay
-      # mismatches), then the warm/cold-cache failover latency ablation.
+      # mismatches); then the decision-beat loss tests: lost beats are
+      # resent on the follower's gap report, well inside one heartbeat
+      # period, at N=2 and to the lossy follower alone at N=3; then the
+      # warm/cold-cache failover latency ablation.
       STTCP_BLOCK_SEEDS=200 \
         ./build-release/tests/integration_block_failover_test \
-        --gtest_filter='*BlockChaosSweepTest*'
+        --gtest_filter='*BlockChaosSweepTest*:*BlockDecisionLossTest*'
       ./build-release/bench/bench_blockstore --quick
       ;;
     *)

@@ -160,7 +160,9 @@ bool EventLoop::step() {
     const Callback cb = std::move(cbs_[e.slot]);
     if (!was_live) continue;  // cancelled: discard silently
     --live_;
-    now_ = e.at;
+    // An event run_event() skipped past runs late, at the current time:
+    // the clock never moves backwards.
+    if (e.at > now_) now_ = e.at;
     ++executed_;
     if (budget_ != 0 && executed_ > budget_) {
       std::fprintf(stderr, "EventLoop: event budget (%llu) exceeded at t=%s\n",

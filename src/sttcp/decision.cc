@@ -96,6 +96,12 @@ bool DecisionLog::ingest(const std::vector<DecisionRecord>& recs) {
   return advanced;
 }
 
+bool DecisionLog::take_gap_report() {
+  if (parked_.empty() || gap_reported_ == rx_cursor_ + 1) return false;
+  gap_reported_ = rx_cursor_ + 1;
+  return true;
+}
+
 void DecisionLog::advance_rx_cursor() {
   const std::uint64_t contiguous = next_consume_ + queue_.size() - 1;
   if (contiguous > rx_cursor_) rx_cursor_ = contiguous;
@@ -181,6 +187,7 @@ void DecisionLog::reset(Mode mode) {
   rx_cursor_ = 0;
   next_consume_ = 1;
   max_seen_ = 0;
+  gap_reported_ = 0;
   consume_limit_ = kNoLimit;
   kept_prefix_ = 0;
 }
@@ -203,6 +210,7 @@ bool DecisionLog::restore(net::BytesView data) {
     next_consume_ = next;
     rx_cursor_ = next - 1;
     max_seen_ = next - 1;
+    gap_reported_ = 0;
     next_seq_ = next;
     return true;
   } catch (const std::exception&) {

@@ -8,8 +8,9 @@
 // closes the gap by logging each such choice on the primary and replaying
 // the log on the backup. This class is that channel's endpoint-agnostic
 // core: the primary appends DecisionRecords as it makes choices, the
-// StTcpEndpoint piggybacks unacked records on heartbeats (messages.h, the
-// 0x40 header flag), and the backup consumes them in sequence order.
+// StTcpEndpoint piggybacks them on heartbeats (messages.h, the 0x40 header
+// flag) — each record once, again only on a gap report or a periodic beat —
+// and the backup consumes them in sequence order.
 //
 // Output commit: a primary response may encode a decision the backup never
 // received — if the primary then dies, the promoted backup would re-decide
@@ -56,8 +57,9 @@ struct DecisionRecord {
   std::uint8_t kind = 0;  // DecisionKind
   std::uint64_t value = 0;
 
-  /// Wire size inside the heartbeat decision block.
-  static constexpr std::size_t kWireSize = 17;  // seq(8) kind(1) value(8)
+  /// Wire size inside the heartbeat decision block: kind(1) value(8). The
+  /// seq is implicit — a block's records are contiguous from its base.
+  static constexpr std::size_t kWireSize = 9;
 };
 
 class DecisionLog {
@@ -117,8 +119,8 @@ class DecisionLog {
   /// not gate commit, but still needs every record above its own ack.
   void on_peer_ack(std::uint64_t cum, std::uint64_t held);
   void on_peer_ack(std::uint64_t cum) { on_peer_ack(cum, cum); }
-  /// Oldest unacked records above `after` (the recipient's own ack), capped
-  /// (heartbeat retransmission window).
+  /// Oldest unacked records above `after` (the recipient's ack, or the last
+  /// record already sent to it), capped: a contiguous run.
   std::vector<DecisionRecord> unacked(std::size_t max, std::uint64_t after = 0) const;
   /// The application finished a batch of choices and wants them on the wire
   /// now instead of at the next periodic beat (fires the endpoint's hook).
@@ -131,6 +133,10 @@ class DecisionLog {
   /// replay cursor are dropped. Returns true when the contiguous rx cursor
   /// advanced (the endpoint acks promptly; the app re-pumps its executor).
   bool ingest(const std::vector<DecisionRecord>& recs);
+  /// Records are parked above a hole the sender has not been told about:
+  /// true at most once per rx_cursor(), so a lost beat draws one gap report
+  /// (the endpoint flags its ack and the leader resends from it).
+  bool take_gap_report();
   /// Highest contiguously ingested-or-consumed seq: the cumulative ack.
   std::uint64_t rx_cursor() const { return rx_cursor_; }
   /// Highest seq already consumed.
@@ -198,6 +204,7 @@ class DecisionLog {
   std::uint64_t rx_cursor_ = 0;       // highest contiguous seq ingested/consumed
   std::uint64_t next_consume_ = 1;    // seq of the next record to consume
   std::uint64_t max_seen_ = 0;        // highest seq ever ingested
+  std::uint64_t gap_reported_ = 0;    // rx_cursor_ + 1 at the last gap report
   std::uint64_t consume_limit_ = kNoLimit;
   std::uint64_t kept_prefix_ = 0;     // record side: prefix kept at promotion
   static constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};

@@ -142,7 +142,7 @@ bool StTcpEndpoint::serial_channel_alive() const {
 // Heartbeat
 // ---------------------------------------------------------------------------
 
-HeartbeatMsg StTcpEndpoint::make_hb_header(const GroupPeer& to) {
+HeartbeatMsg StTcpEndpoint::make_hb_header(GroupPeer& to, bool fresh_only) {
   HeartbeatMsg msg;
   msg.role = role_;
   msg.hb_seq = hb_seq_++;
@@ -163,11 +163,13 @@ HeartbeatMsg StTcpEndpoint::make_hb_header(const GroupPeer& to) {
     }
   }
   // Logged-decision block (docs/APPLICATION.md): cumulative ack of the
-  // leader's decision stream + our own records above the recipient's ack,
-  // capped so a burst cannot blow the UDP byte budget — periodic beats
-  // retransmit the remainder oldest-first until acked. A follower whose
-  // view names a leader it has not resynchronised with yet acks only what
-  // it consumed: records above that leader's kept prefix may be stale.
+  // leader's decision stream + a run of our own records, capped so a burst
+  // cannot blow the UDP byte budget. Event beats carry only records not yet
+  // sent to the recipient, so each crosses once; periodic beats resend
+  // everything above its ack oldest-first, so a lost beat costs latency,
+  // never correctness. A follower whose view names a leader it has not
+  // resynchronised with yet acks only what it consumed: records above that
+  // leader's kept prefix may be stale.
   if (decision_log_ != nullptr && replicating_or_reintegrating()) {
     constexpr std::size_t kMaxDecisionsPerBeat = 512;
     const bool resyncing = !decision_log_->recording() &&
@@ -176,7 +178,13 @@ HeartbeatMsg StTcpEndpoint::make_hb_header(const GroupPeer& to) {
     msg.decisions_valid = true;
     msg.decision_ack = resyncing ? decision_log_->consumed_through()
                                  : decision_log_->rx_cursor();
-    msg.decisions = decision_log_->unacked(kMaxDecisionsPerBeat, to.decision_ack);
+    msg.decisions = decision_log_->unacked(
+        kMaxDecisionsPerBeat,
+        fresh_only ? std::max(to.decision_ack, to.decision_sent) : to.decision_ack);
+    if (!msg.decisions.empty()) {
+      to.decision_sent = std::max(to.decision_sent, msg.decisions.back().seq);
+      stats_.decision_records_sent += msg.decisions.size();
+    }
   }
   return msg;
 }
@@ -229,7 +237,7 @@ void StTcpEndpoint::send_heartbeat(bool include_serial) {
   // every record at fan-out > 1 under budget pressure).
   for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
     GroupPeer& p = peers_[pi];
-    HeartbeatMsg msg = make_hb_header(p);
+    HeartbeatMsg msg = make_hb_header(p, /*fresh_only=*/false);
     msg.records.reserve(conns_.size());
     for (auto& [id, rc] : conns_) msg.records.push_back(make_record(id, *rc, pi));
     std::size_t total = 0;
@@ -317,7 +325,7 @@ void StTcpEndpoint::send_event_heartbeat(std::uint16_t id) {
   if (!host_.alive() || mode_ == Mode::kDead) return;
   if (mode_ == Mode::kTakenOver || mode_ == Mode::kNonFaultTolerant) return;
   for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
-    HeartbeatMsg msg = make_hb_header(peers_[pi]);
+    HeartbeatMsg msg = make_hb_header(peers_[pi], /*fresh_only=*/true);
     if (const ReplConn* rc = by_id(id)) msg.records.push_back(make_record(id, *rc, pi));
     host_.udp_send(cfg_.my_ip, cfg_.hb_port, peers_[pi].ip, cfg_.hb_port,
                    msg.serialize());
@@ -333,13 +341,14 @@ void StTcpEndpoint::set_decision_log(DecisionLog* log) {
   decision_log_ = log;
   if (log != nullptr) {
     // The application flushed a batch of choices: put them on the wire now.
-    // Every heartbeat retransmits the unacked window, so a lost flush only
-    // costs latency, never correctness.
+    // A lost flush beat is resent on the follower's gap report, or at the
+    // latest by the next periodic beat, which resends everything above the
+    // follower's ack: it costs latency, never correctness.
     log->set_flush_hook([this] { send_decision_heartbeat(); });
   }
 }
 
-void StTcpEndpoint::send_decision_heartbeat() {
+void StTcpEndpoint::send_decision_heartbeat(bool gap) {
   if (!host_.alive() || decision_log_ == nullptr) return;
   if (!replicating_or_reintegrating()) return;
   // A records-free header still carries the decision block — the cheap
@@ -347,8 +356,9 @@ void StTcpEndpoint::send_decision_heartbeat() {
   // a fresh cumulative ack the leader's output gate is waiting on). Rides
   // the IP channel only, like other event heartbeats: the serial line is
   // too slow for per-request traffic.
-  for (const GroupPeer& p : peers_) {
-    HeartbeatMsg msg = make_hb_header(p);
+  for (GroupPeer& p : peers_) {
+    HeartbeatMsg msg = make_hb_header(p, /*fresh_only=*/true);
+    msg.decision_gap = gap;
     host_.udp_send(cfg_.my_ip, cfg_.hb_port, p.ip, cfg_.hb_port, msg.serialize());
   }
   ++stats_.hb_sent;
@@ -360,9 +370,24 @@ void StTcpEndpoint::process_decisions(const HeartbeatMsg& msg, GroupPeer& from) 
   // An ack counts only from a member on our view epoch: a follower still on
   // an older view may ack records a since-promoted leader never sent.
   if (!msg.group_valid || msg.view_epoch == view_.epoch) {
+    // An ack moving backwards is a member whose log restarted (a rejoiner
+    // restored from a checkpoint) or is resynchronising: what we sent it
+    // above that ack may be gone.
+    if (msg.decision_ack < from.decision_ack) from.decision_sent = 0;
     from.decision_ack = msg.decision_ack;
   }
   refresh_decision_ack();
+  // Gap report: the member parked records above a hole, so a beat to it
+  // was lost. Resend everything above its ack now, to it alone, instead of
+  // waiting out the periodic beat (SCTP's gap-driven retransmission).
+  if (msg.decision_gap && decision_log_->recording() &&
+      from.decision_sent > from.decision_ack && replicating_or_reintegrating()) {
+    from.decision_sent = from.decision_ack;
+    HeartbeatMsg resend = make_hb_header(from, /*fresh_only=*/true);
+    host_.udp_send(cfg_.my_ip, cfg_.hb_port, from.ip, cfg_.hb_port, resend.serialize());
+    world_.trace().record(host_.name(), "decision_resend", from.name,
+                          static_cast<std::int64_t>(from.decision_ack));
+  }
   // Follower: the leader's group block bounds what may be consumed — only
   // records every live member holds, so whoever is promoted next replays
   // the same values. Meeting a new leader's block first drops whatever we
@@ -377,12 +402,16 @@ void StTcpEndpoint::process_decisions(const HeartbeatMsg& msg, GroupPeer& from) 
     }
     decision_log_->set_consume_limit(msg.decision_shared);
   }
-  if (decision_log_->ingest(msg.decisions)) {
-    // Our replay cursor advanced: ack promptly instead of waiting out the
-    // heartbeat period — the leader's output-commit gate holds client
-    // responses until this ack lands. No storm: the ack beat carries no new
-    // records, so the leader's ingest cannot advance and echo back.
-    send_decision_heartbeat();
+  const bool advanced = decision_log_->ingest(msg.decisions);
+  const bool gap = decision_log_->take_gap_report();
+  if (advanced || gap) {
+    // Our replay cursor advanced, or records parked above a hole: ack
+    // promptly instead of waiting out the heartbeat period — the leader's
+    // output-commit gate holds client responses until this ack lands, and a
+    // gap report makes it resend what was lost. No storm: the ack beat
+    // carries no new records, so the leader's ingest cannot advance and
+    // echo back, and a hole is reported once per ack point.
+    send_decision_heartbeat(gap);
   }
 }
 
@@ -1699,7 +1728,7 @@ void StTcpEndpoint::win_promotion() {
   // drains the replayed backlog, and any response it releases must see the
   // log already in record mode. The followers' acks restart from zero: they
   // acked the old leader's numbering, not ours.
-  for (GroupPeer& p : peers_) p.decision_ack = 0;
+  for (GroupPeer& p : peers_) p.decision_ack = p.decision_sent = 0;
   if (decision_log_ != nullptr) decision_log_->promote(followers);
   for (auto& [id, rc] : conns_) {
     if (rc->conn != nullptr) {
@@ -1840,6 +1869,9 @@ void StTcpEndpoint::maybe_adopt_view(std::uint32_t epoch,
   view_.epoch = epoch;
   view_.order = order;
   ++stats_.view_changes;
+  // Members may have truncated their logs for the new view: resend from
+  // their acks.
+  for (GroupPeer& p : peers_) p.decision_sent = 0;
   // The announced view supersedes every local arbitration in flight. In
   // particular any pending STONITH: the announcer already powered off what
   // it convicted BEFORE announcing, and our own convictions are overruled.

@@ -77,6 +77,9 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     std::uint64_t logger_requests_sent = 0;
     std::uint64_t logger_bytes_injected = 0;
     std::uint64_t decision_hb_sent = 0;  // event-style decision/ack beats
+    /// Decision records put on beats, one count per recipient member: each
+    /// record crosses once per member unless a beat is lost.
+    std::uint64_t decision_records_sent = 0;
     std::uint64_t fin_delayed = 0;
     std::uint64_t fin_agreed = 0;
     std::uint64_t takeovers = 0;
@@ -148,18 +151,21 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
 
   // --- logged-decision channel (decision.h, docs/APPLICATION.md) -------------
   /// Attach the application's decision log. The endpoint piggybacks its
-  /// unacked records and cumulative ack on every heartbeat (the 0x40 header
-  /// block), acks promptly when ingest advances, feeds the leader's log the
-  /// minimum ack over the current view, bounds a follower's consumption by
-  /// the leader's shared point, promotes the log at takeover, and flips it
-  /// standalone whenever the leader loses its last follower.
+  /// records and cumulative ack on heartbeats (the 0x40 header block) —
+  /// each record once per member on event beats, resent from the member's
+  /// ack on periodic beats and on a gap report (header flag 0x80) — acks
+  /// promptly when ingest advances or parks above a hole, feeds the
+  /// leader's log the minimum ack over the current view, bounds a
+  /// follower's consumption by the leader's shared point, promotes the log
+  /// at takeover, and flips it standalone whenever the leader loses its last
+  /// follower.
   void set_decision_log(DecisionLog* log);
   DecisionLog* decision_log() const { return decision_log_; }
   /// Event-style decision-only heartbeat (IP channel, no connection
   /// records): the application flushed a batch of choices, or our replay
   /// cursor advanced and the leader is waiting on the ack to release
-  /// gated responses.
-  void send_decision_heartbeat();
+  /// gated responses. `gap` flags the ack as a gap report.
+  void send_decision_heartbeat(bool gap = false);
 
   // --- tcp::TcpStack::ConnectionObserver -------------------------------------
   void on_accepted(tcp::TcpConnection& conn) override;
@@ -271,9 +277,10 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
   void send_heartbeat(bool include_serial = true);
   void send_event_heartbeat(std::uint16_t id);
   struct GroupPeer;
-  /// Header and decision block for one recipient: its decision window
-  /// starts above its own cumulative ack.
-  HeartbeatMsg make_hb_header(const GroupPeer& to);
+  /// Header and decision block for one recipient. Its records start above
+  /// its cumulative ack, or — `fresh_only`, on event beats — above what was
+  /// already sent to it; they advance its sent cursor.
+  HeartbeatMsg make_hb_header(GroupPeer& to, bool fresh_only);
   /// The announce decision is per member: `peer_idx` indexes peers_.
   HbRecord make_record(std::uint16_t id, const ReplConn& rc, std::size_t peer_idx) const;
   void on_hb_datagram(net::BytesView payload, bool via_serial);
@@ -356,6 +363,10 @@ class StTcpEndpoint final : public tcp::TcpStack::ConnectionObserver {
     int ping_fail_streak = 0;
     /// The member's cumulative ack of our decision stream.
     std::uint64_t decision_ack = 0;
+    /// Highest of our decision records already on a beat to this member.
+    /// Reset to 0 (the ack rules) whenever what the member holds may have
+    /// changed: promotion, a view adoption, an ack moving backwards.
+    std::uint64_t decision_sent = 0;
     // Per-peer rotating-window cursors (serial record cap and UDP byte
     // budget): each member's window advances only with copies sent to IT, so
     // a record cannot be starved on one channel by traffic to another.

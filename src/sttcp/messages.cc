@@ -1,5 +1,7 @@
 #include "sttcp/messages.h"
 
+#include <stdexcept>
+
 #include "net/checksum.h"
 
 namespace sttcp::sttcp {
@@ -22,6 +24,7 @@ constexpr std::uint8_t kHdrRejoinRequest = 0x08;
 constexpr std::uint8_t kHdrRejoinReady = 0x10;
 constexpr std::uint8_t kHdrGroup = 0x20;
 constexpr std::uint8_t kHdrDecisions = 0x40;
+constexpr std::uint8_t kHdrDecisionGap = 0x80;
 }  // namespace
 
 const char* to_string(Role r) {
@@ -48,6 +51,7 @@ net::Bytes HeartbeatMsg::serialize() const {
   if (rejoin_ready) hf |= kHdrRejoinReady;
   if (group_valid) hf |= kHdrGroup;
   if (decisions_valid) hf |= kHdrDecisions;
+  if (decision_gap) hf |= kHdrDecisionGap;
   w.u8(hf);
   // The epoch rides only on rejoin-flagged heartbeats, so the steady-state
   // record math ("<20 bytes per connection") is untouched.
@@ -63,15 +67,20 @@ net::Bytes HeartbeatMsg::serialize() const {
     w.u64(decision_base);
     w.u64(decision_shared);
   }
-  // Decision block: cumulative ack + the sender's unacked records. Gated on
-  // the flag like the group block, so decision-free pairs pay zero bytes.
+  // Decision block: cumulative ack, record count and — when there are
+  // records — the first record's seq; each record is then kind(1) value(8),
+  // its seq implicit. Gated on the flag like the group block, so
+  // decision-free pairs pay zero bytes.
   if (decisions_valid) {
     w.u64(decision_ack);
     w.u16(static_cast<std::uint16_t>(decisions.size()));
-    for (const DecisionRecord& d : decisions) {
-      w.u64(d.seq);
-      w.u8(d.kind);
-      w.u64(d.value);
+    if (!decisions.empty()) w.u64(decisions.front().seq);
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+      if (decisions[i].seq != decisions.front().seq + i) {
+        throw std::logic_error("HeartbeatMsg: decision records not contiguous");
+      }
+      w.u8(decisions[i].kind);
+      w.u64(decisions[i].value);
     }
   }
   w.u16(static_cast<std::uint16_t>(records.size()));
@@ -130,6 +139,7 @@ std::optional<HeartbeatMsg> HeartbeatMsg::parse(net::BytesView data) {
     m.rejoin_ready = (hf & kHdrRejoinReady) != 0;
     m.group_valid = (hf & kHdrGroup) != 0;
     m.decisions_valid = (hf & kHdrDecisions) != 0;
+    m.decision_gap = (hf & kHdrDecisionGap) != 0;
     if (m.rejoin_request || m.rejoin_ready) m.rejoin_epoch = r.u32();
     if (m.group_valid) {
       m.member = r.u8();
@@ -145,14 +155,20 @@ std::optional<HeartbeatMsg> HeartbeatMsg::parse(net::BytesView data) {
     if (m.decisions_valid) {
       m.decision_ack = r.u64();
       const std::uint16_t dn = r.u16();
+      const std::uint64_t base = dn > 0 ? r.u64() : 0;
       if (static_cast<std::size_t>(dn) * DecisionRecord::kWireSize >
           r.remaining()) {
+        return std::nullopt;
+      }
+      // Seqs are 1-based and the run's last one, base + dn - 1, must not
+      // wrap.
+      if (dn > 0 && (base == 0 || base - 1 > ~std::uint64_t{0} - dn)) {
         return std::nullopt;
       }
       m.decisions.reserve(dn);
       for (std::uint16_t i = 0; i < dn; ++i) {
         DecisionRecord d;
-        d.seq = r.u64();
+        d.seq = base + i;
         d.kind = r.u8();
         d.value = r.u64();
         m.decisions.push_back(d);

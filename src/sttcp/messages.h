@@ -98,12 +98,18 @@ struct HeartbeatMsg {
   std::uint64_t decision_shared = 0;
 
   /// Logged-decision block (docs/APPLICATION.md): the sender's cumulative
-  /// ack of the peer's decision stream plus its own unacked records. Gated
+  /// ack of the peer's decision stream plus a run of its own records. Gated
   /// on a header flag like the group block — endpoints without a decision
-  /// log keep the paper-sized wire format byte-identical.
+  /// log keep the paper-sized wire format byte-identical. The records must
+  /// be contiguous (seq base, base + 1, ...): the wire carries the base
+  /// once and each record as kind(1) value(8).
   bool decisions_valid = false;
   std::uint64_t decision_ack = 0;
   std::vector<DecisionRecord> decisions;
+  /// Gap report (header flag 0x80): the sender parked records above a hole
+  /// in the stream just acked, so the leader resends from `decision_ack`
+  /// now instead of at its next periodic beat.
+  bool decision_gap = false;
 
   std::vector<HbRecord> records;
 

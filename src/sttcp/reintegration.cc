@@ -292,8 +292,10 @@ void Reintegrator::on_rejoin_request(std::uint32_t epoch, std::uint8_t member) {
   rejoiner_ready_ = false;
   StTcpEndpoint::GroupPeer* p = ep_.peer_by_member(member);
   rejoin_peer_ = static_cast<std::size_t>(p - ep_.peers_.data());
-  // The rejoiner's log restarts from our checkpoint: its old acks are void.
+  // The rejoiner's log restarts from our checkpoint: its old acks, and what
+  // we sent it before, are void.
   p->decision_ack = 0;
+  p->decision_sent = 0;
   begin_reintegration();
 }
 

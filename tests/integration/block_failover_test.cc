@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <ostream>
@@ -23,6 +24,7 @@
 #include "harness/block_workload.h"
 #include "harness/invariants.h"
 #include "harness/topology.h"
+#include "sttcp/messages.h"
 
 namespace sttcp::harness {
 namespace {
@@ -168,13 +170,28 @@ TEST(BlockFailoverTest, HealthyRunIsByteDeterministic) {
   EXPECT_EQ(rig.p_app.cache_digest(), rig.b_app.cache_digest());
   EXPECT_EQ(rig.p_app.state_digest(), rig.b_app.state_digest());
   // Pinned literals: primary == backup holds for any build; these fix the
-  // pair's exact served history across builds too.
+  // pair's exact served history across builds too. Any change to when a
+  // decision beat or its ack crosses the wire moves all four digests:
+  // responses carry execution timestamps (tx), and the clients' shared
+  // workload Rng, the cache's LRU order and eviction draws and the session
+  // draws all follow the cross-client execution order (store, cache, state).
   EXPECT_EQ(rig.p_app.store_stats().requests, 168u);
   EXPECT_EQ(rig.workload.stats().responses, 168u);
-  EXPECT_EQ(rig.p_app.tx_digest(), 0x937ec6e0ba8e8e5aull);
-  EXPECT_EQ(rig.p_app.store_digest(), 0x91c562c8cea90c82ull);
-  EXPECT_EQ(rig.p_app.cache_digest(), 0x32b7b6f752991fdaull);
-  EXPECT_EQ(rig.p_app.state_digest(), 0x44495a6efd35394dull);
+  EXPECT_EQ(rig.p_app.tx_digest(), 0xd29d7456fa08a483ull);
+  EXPECT_EQ(rig.p_app.store_digest(), 0xabd751ef4828044dull);
+  EXPECT_EQ(rig.p_app.cache_digest(), 0x7c247941b77ab7f6ull);
+  EXPECT_EQ(rig.p_app.state_digest(), 0x83e7b95d029f51eaull);
+  // Each decision record crosses the wire once: event beats carry only
+  // records not yet sent, and nothing is lost on a healthy run, so only the
+  // periodic beats' resends of in-flight records come on top.
+  const double appended =
+      static_cast<double>(rig.p_app.decisions().stats().appended);
+  ASSERT_GT(appended, 0.0);
+  EXPECT_LE(static_cast<double>(
+                rig.cell.primary_endpoint()->stats().decision_records_sent) /
+                appended,
+            1.05);
+  EXPECT_EQ(rig.topo->world().trace().count("decision_resend"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -539,6 +556,171 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BlockChaosSweepTest,
                          ::testing::ValuesIn(sweep_cases(2)), seed_name);
 INSTANTIATE_TEST_SUITE_P(Group3, BlockChaosSweepTest,
                          ::testing::ValuesIn(sweep_cases(3)), seed_name);
+
+// ---------------------------------------------------------------------------
+// Decision-beat loss. Event beats carry each decision record once, so a lost
+// beat leaves the follower a hole; the records after it park above the hole
+// and the follower's gap report makes the leader resend from its ack at
+// once. The tap below sits on the leader's link: it drops every 5th
+// original decision beat to one follower (a beat whose first record was
+// never sent to it before, so resends pass) and times every record from its
+// first transmission to the first ack from that follower covering it. A
+// lost beat repaired only by the next periodic beat waits up to the 200 ms
+// heartbeat period. A lost beat that no later beat follows can only be
+// repaired that way, so the tap drops beats only in the first 20 ms, while
+// the first sessions run back to back.
+class DecisionLossTap {
+ public:
+  DecisionLossTap(Rig& rig, net::Ipv4Addr lossy)
+      : world_(rig.topo->world()),
+        leader_(rig.cell.primary_ip()),
+        lossy_(lossy),
+        hb_port_(rig.cell.primary_endpoint()->config().hb_port) {
+    rig.cell.primary_link().set_drop_filter(
+        [this](const net::Frame& f) { return on_frame(f); });
+  }
+
+  std::uint64_t dropped() const { return dropped_; }
+  /// Gap-flagged acks that reached the leader from `member`.
+  std::uint64_t gap_reports(net::Ipv4Addr member) const {
+    const auto it = gap_reports_.find(member.value());
+    return it == gap_reports_.end() ? 0 : it->second;
+  }
+  sim::Duration max_commit_wait() const { return max_wait_; }
+  /// Records sent to the lossy follower that it never acked.
+  std::size_t unacked() const { return waiting_.size(); }
+
+ private:
+  static std::uint32_t be32(const std::uint8_t* p) {
+    return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+           (std::uint32_t{p[2]} << 8) | p[3];
+  }
+
+  bool on_frame(const net::Frame& f) {
+    // Ethernet(14) + IPv4(20, no options) + UDP(8), to the heartbeat port.
+    constexpr std::size_t kIp = 14, kUdp = kIp + 20, kPayload = kUdp + 8;
+    const std::uint8_t* d = f.data();
+    if (f.size() < kPayload || d[12] != 0x08 || d[13] != 0x00 || d[kIp + 9] != 17 ||
+        ((d[kUdp + 2] << 8) | d[kUdp + 3]) != hb_port_) {
+      return false;
+    }
+    const auto msg = sttcp::HeartbeatMsg::parse(
+        net::BytesView(d + kPayload, f.size() - kPayload));
+    if (!msg || !msg->decisions_valid) return false;
+    const std::uint32_t src = be32(d + kIp + 12);
+    const std::uint32_t dst = be32(d + kIp + 16);
+    if (dst == leader_.value()) {
+      if (msg->decision_gap) ++gap_reports_[src];
+      if (src != lossy_.value()) return false;
+      while (!waiting_.empty() && waiting_.begin()->first <= msg->decision_ack) {
+        max_wait_ = std::max(max_wait_, world_.now() - waiting_.begin()->second);
+        waiting_.erase(waiting_.begin());
+      }
+      return false;
+    }
+    if (src != leader_.value() || dst != lossy_.value() || msg->decisions.empty()) {
+      return false;
+    }
+    const bool original = msg->decisions.front().seq > max_sent_;
+    for (const sttcp::DecisionRecord& r : msg->decisions) {
+      if (r.seq > max_sent_) waiting_.emplace(r.seq, world_.now());
+    }
+    max_sent_ = std::max(max_sent_, msg->decisions.back().seq);
+    if (!original || world_.now() >= kUntil || ++originals_ % kDropEvery != 0) {
+      return false;
+    }
+    ++dropped_;
+    return true;
+  }
+
+  sim::World& world_;
+  net::Ipv4Addr leader_, lossy_;
+  std::uint16_t hb_port_;
+  static constexpr int kDropEvery = 5;
+  static constexpr sim::SimTime kUntil = sim::SimTime::from_ns(20'000'000);
+  std::uint64_t max_sent_ = 0, originals_ = 0, dropped_ = 0;
+  std::map<std::uint64_t, sim::SimTime> waiting_;  // seq -> first sent
+  std::map<std::uint32_t, std::uint64_t> gap_reports_;
+  sim::Duration max_wait_;
+};
+
+/// Enough clients with short sessions that decision beats follow one
+/// another closely: the beat after a lost one exposes the hole.
+BlockWorkloadConfig busy_workload(BlockStoreConfig& app_cfg) {
+  BlockWorkloadConfig w = small_workload(app_cfg);
+  w.clients = 12;
+  w.ops_per_session = 40;
+  w.think_mean = sim::Duration::millis(2);
+  return w;
+}
+
+/// Gap resends the leader traced, by the member each one went to.
+std::map<std::string, std::size_t> resends_by_member(Rig& rig) {
+  std::map<std::string, std::size_t> out;
+  for (const sim::TraceEntry& e : rig.topo->world().trace().entries()) {
+    if (e.event == "decision_resend") ++out[e.detail];
+  }
+  return out;
+}
+
+TEST(BlockDecisionLossTest, PairResendsALostBeatOnTheGapReport) {
+  ScenarioConfig scfg;
+  scfg.seed = 7;
+  BlockStoreConfig acfg;
+  Rig rig(std::move(scfg), acfg, acfg, busy_workload(acfg));
+  InvariantChecker checker(*rig.topo, {});
+  DecisionLossTap tap(rig, rig.cell.backup_ip());
+
+  rig.workload.start();
+  rig.run_to_drain(sim::Duration::seconds(30));
+  rig.quiesce();
+
+  expect_clean(rig, checker.check(rig.workload));
+  EXPECT_EQ(rig.workload.stats().resets, 0u);
+  EXPECT_EQ(rig.workload.stats().failed, 0u);
+  EXPECT_EQ(rig.p_app.tx_digest(), rig.b_app.tx_digest());
+  EXPECT_EQ(rig.p_app.state_digest(), rig.b_app.state_digest());
+  // Beats were lost, the backup's gap reports drew resends to it, and no
+  // record waited for the periodic beat.
+  EXPECT_GE(tap.dropped(), 10u);
+  EXPECT_GE(tap.gap_reports(rig.cell.backup_ip()), 1u);
+  const auto resends = resends_by_member(rig);
+  EXPECT_EQ(resends.size(), 1u);
+  EXPECT_EQ(resends.count("backup"), 1u);
+  EXPECT_EQ(tap.unacked(), 0u);
+  EXPECT_LT(tap.max_commit_wait(), rig.cell.primary_endpoint()->config().hb_period / 10)
+      << tap.max_commit_wait().str();
+}
+
+TEST(BlockDecisionLossTest, GroupOfThreeRewindsOnlyTheLossyFollower) {
+  ScenarioConfig scfg;
+  scfg.seed = 7;
+  scfg.extra_backups = 1;
+  BlockStoreConfig acfg;
+  Rig rig(std::move(scfg), acfg, acfg, busy_workload(acfg));
+  InvariantChecker checker(*rig.topo, {});
+  // Only beats to backup2 are lost; backup's stream is untouched.
+  DecisionLossTap tap(rig, rig.cell.backup_ip(1));
+
+  rig.workload.start();
+  rig.run_to_drain(sim::Duration::seconds(30));
+  rig.quiesce();
+
+  expect_clean(rig, checker.check(rig.workload));
+  EXPECT_EQ(rig.workload.stats().resets, 0u);
+  EXPECT_EQ(rig.workload.stats().failed, 0u);
+  expect_survivors_agree(rig);
+  EXPECT_GE(tap.dropped(), 10u);
+  EXPECT_GE(tap.gap_reports(rig.cell.backup_ip(1)), 1u);
+  EXPECT_EQ(tap.gap_reports(rig.cell.backup_ip(0)), 0u);
+  // Every resend went to the follower that lost beats.
+  const auto resends = resends_by_member(rig);
+  EXPECT_EQ(resends.size(), 1u);
+  EXPECT_EQ(resends.count("backup2"), 1u);
+  EXPECT_EQ(tap.unacked(), 0u);
+  EXPECT_LT(tap.max_commit_wait(), rig.cell.primary_endpoint()->config().hb_period / 10)
+      << tap.max_commit_wait().str();
+}
 
 // ---------------------------------------------------------------------------
 // Healthy run at N = 3: both followers replay the leader's decisions, every

@@ -238,6 +238,23 @@ TEST(EventQueue, ExplorerHooksMatchQueue) {
   EXPECT_EQ(got, rest);
 }
 
+TEST(EventQueue, StepNeverRewindsClock) {
+  // The explorer may force a later event first; the earlier one it skipped
+  // then runs late, at the advanced clock, never at its own older stamp.
+  EventLoop loop;
+  std::vector<SimTime> ran_at;
+  loop.schedule_at(SimTime::from_ns(10'000'000),
+                   [&] { ran_at.push_back(loop.now()); });
+  const TimerId b = loop.schedule_at(SimTime::from_ns(20'000'000),
+                                     [&] { ran_at.push_back(loop.now()); });
+  ASSERT_TRUE(loop.run_event(b));
+  EXPECT_EQ(loop.now(), SimTime::from_ns(20'000'000));
+  ASSERT_TRUE(loop.step());
+  EXPECT_EQ(loop.now(), SimTime::from_ns(20'000'000));
+  ASSERT_EQ(ran_at.size(), 2u);
+  EXPECT_EQ(ran_at[1], SimTime::from_ns(20'000'000));
+}
+
 TEST(EventQueue, SameTickFifoOrder) {
   EventLoop loop;
   std::vector<int> order;

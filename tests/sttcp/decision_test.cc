@@ -150,6 +150,37 @@ TEST(DecisionLogTest, IngestParksGapsAndUnparksWhenHoleFills) {
   EXPECT_EQ(log.stats().ingested, 3u);
 }
 
+TEST(DecisionLogTest, GapIsReportedOncePerAckPoint) {
+  DecisionLog log(Mode::kReplay);
+  EXPECT_FALSE(log.take_gap_report());  // nothing parked
+  log.ingest({rec(1, DecisionKind::kOrder, 1)});
+  EXPECT_FALSE(log.take_gap_report());
+
+  // Seq 2 lost: 3 parks above the hole and draws one report; 4 parks at the
+  // same ack point and draws none (the resend is already on its way).
+  log.ingest({rec(3, DecisionKind::kTime, 3)});
+  EXPECT_TRUE(log.take_gap_report());
+  log.ingest({rec(4, DecisionKind::kTime, 4)});
+  EXPECT_FALSE(log.take_gap_report());
+
+  // The resend fills the hole: nothing is parked, nothing to report.
+  log.ingest({rec(2, DecisionKind::kTime, 2)});
+  EXPECT_EQ(log.rx_cursor(), 4u);
+  EXPECT_FALSE(log.take_gap_report());
+
+  // A later loss is a new ack point: reported again.
+  log.ingest({rec(6, DecisionKind::kTime, 6)});
+  EXPECT_TRUE(log.take_gap_report());
+
+  // A restored checkpoint forgets parked records and past reports.
+  DecisionLog donor(Mode::kRecord);
+  for (int i = 0; i < 5; ++i) donor.choose(DecisionKind::kTime, [] { return 0u; });
+  ASSERT_TRUE(log.restore(donor.serialize()));
+  EXPECT_FALSE(log.take_gap_report());
+  log.ingest({rec(8, DecisionKind::kTime, 8)});
+  EXPECT_TRUE(log.take_gap_report());
+}
+
 TEST(DecisionLogTest, IngestDropsDuplicatesAndStaleRecords) {
   DecisionLog log(Mode::kReplay);
   log.ingest({rec(1, DecisionKind::kOrder, 1), rec(2, DecisionKind::kTime, 2)});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "net/checksum.h"
 #include "sim/random.h"
 
@@ -197,6 +200,145 @@ TEST(HeartbeatMsgTest, GroupBlockRoundTripsAndRejectsRepeatedMembers) {
   // A member listed twice is no rank order: the codec refuses it.
   m.view_order = {1, 2, 1};
   EXPECT_FALSE(HeartbeatMsg::parse(m.serialize()).has_value());
+}
+
+/// Re-patch the checksum after editing bytes, so a test exercises the
+/// codec's structural guards rather than the checksum.
+void repatch(net::Bytes& w) {
+  w[1] = 0;
+  w[2] = 0;
+  const std::uint16_t c = net::internet_checksum(net::BytesView(w).subspan(1));
+  w[1] = static_cast<std::uint8_t>(c >> 8);
+  w[2] = static_cast<std::uint8_t>(c);
+}
+
+HeartbeatMsg decision_msg(std::uint64_t base, std::size_t n) {
+  HeartbeatMsg m;
+  m.decisions_valid = true;
+  m.decision_ack = 0x1122334455667788ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    DecisionRecord d;
+    d.seq = base + i;
+    d.kind = static_cast<std::uint8_t>(1 + i % 5);
+    d.value = 0xABCD0000ull + i;
+    m.decisions.push_back(d);
+  }
+  return m;
+}
+
+// Header: magic(1) checksum(2) role(1) hb_seq(4) flags(1); then the
+// decision block: ack(8) count(2) [base(8)] and 9 B per record.
+constexpr std::size_t kDecisionCountAt = 9 + 8;
+constexpr std::size_t kDecisionBaseAt = kDecisionCountAt + 2;
+
+TEST(HeartbeatMsgTest, CompactDecisionBlockRoundTrips) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{512}}) {
+    HeartbeatMsg m = decision_msg(1000, n);
+    m.decision_gap = n == 1;
+    const net::Bytes w = m.serialize();
+    // Base once, then kind + value per record; no base without records.
+    EXPECT_EQ(w.size(), 9 + 8 + 2 + (n > 0 ? 8 : 0) + 9 * n + 2) << n;
+    const auto p = HeartbeatMsg::parse(w);
+    ASSERT_TRUE(p.has_value()) << n;
+    EXPECT_TRUE(p->decisions_valid);
+    EXPECT_EQ(p->decision_gap, n == 1);
+    EXPECT_EQ(p->decision_ack, m.decision_ack);
+    ASSERT_EQ(p->decisions.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(p->decisions[i].seq, m.decisions[i].seq);
+      EXPECT_EQ(p->decisions[i].kind, m.decisions[i].kind);
+      EXPECT_EQ(p->decisions[i].value, m.decisions[i].value);
+    }
+  }
+  // A gap report is an ack with no records.
+  HeartbeatMsg gap = decision_msg(0, 0);
+  gap.decision_gap = true;
+  const auto p = HeartbeatMsg::parse(gap.serialize());
+  ASSERT_TRUE(p.has_value());
+  EXPECT_TRUE(p->decision_gap);
+  EXPECT_TRUE(p->decisions.empty());
+}
+
+TEST(HeartbeatMsgTest, NonContiguousDecisionRunIsRefused) {
+  HeartbeatMsg m = decision_msg(5, 3);
+  m.decisions[2].seq = 9;
+  EXPECT_THROW(m.serialize(), std::logic_error);
+}
+
+TEST(HeartbeatMsgTest, TruncatedDecisionBlockRejected) {
+  const net::Bytes whole = decision_msg(40, 3).serialize();
+  // A count promising one record more than the block holds.
+  net::Bytes w = whole;
+  w[kDecisionCountAt + 1] = 4;
+  repatch(w);
+  EXPECT_FALSE(HeartbeatMsg::parse(w).has_value());
+  // The block cut short, checksum valid: every cut inside it is rejected.
+  for (std::size_t cut = kDecisionCountAt; cut < whole.size() - 2; ++cut) {
+    net::Bytes t(whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(cut));
+    repatch(t);
+    EXPECT_FALSE(HeartbeatMsg::parse(t).has_value()) << "cut at " << cut;
+  }
+}
+
+TEST(HeartbeatMsgTest, DecisionSeqOverflowRejected) {
+  const auto with_base = [](std::uint64_t base) {
+    net::Bytes w = decision_msg(1, 3).serialize();
+    for (int i = 0; i < 8; ++i) {
+      w[kDecisionBaseAt + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(base >> (56 - 8 * i));
+    }
+    repatch(w);
+    return HeartbeatMsg::parse(w);
+  };
+  const std::uint64_t max = ~std::uint64_t{0};
+  // Three records from max - 2 end exactly at max: accepted.
+  const auto fits = with_base(max - 2);
+  ASSERT_TRUE(fits.has_value());
+  EXPECT_EQ(fits->decisions.back().seq, max);
+  // One further and the last seq wraps past uint64: rejected.
+  EXPECT_FALSE(with_base(max - 1).has_value());
+  EXPECT_FALSE(with_base(max).has_value());
+  // Seqs are 1-based.
+  EXPECT_FALSE(with_base(0).has_value());
+}
+
+TEST(HeartbeatMsgTest, PairHeartbeatWithoutDecisionLogIsByteIdentical) {
+  // The pair without a decision log never sets the decision flag: its wire
+  // bytes are the pre-decision-channel format, pinned here byte for byte.
+  HeartbeatMsg m;
+  m.role = Role::kPrimary;
+  m.hb_seq = 0x01020304;
+  m.ping_valid = true;
+  m.ping_ok = true;
+  HbRecord a;
+  a.repl_id = 3;
+  a.bytes_received = 1000;
+  a.acked_by_peer = 2000;
+  a.app_written = 2000;
+  a.app_read = 1000;
+  m.records.push_back(a);
+  HbRecord b = a;
+  b.repl_id = 4;
+  b.announce = true;
+  b.established = true;
+  b.fin_generated = true;
+  b.client_ip = net::Ipv4Addr(0x0a000001);
+  b.client_port = 40000;
+  b.local_port = 80;
+  b.iss = 0xdeadbeef;
+  b.irs = 0x12345678;
+  m.records.push_back(b);
+  const net::Bytes w = m.serialize();
+  std::string hex;
+  for (const std::uint8_t c : w) {
+    static const char* kDigits = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "48c1770001020304030002000300000003e8000007d0000007d0000003e800"
+            "0419000003e8000007d0000007d0000003e80a0000019c400050deadbeef12"
+            "345678");
 }
 
 TEST(ControlMsgTest, ViewAnnounceRejectsRepeatedMembers) {
